@@ -1,12 +1,14 @@
 """Command-line interface: JSON actions in, deterministic JSON reports out.
 
 Exit codes: 0 = computed (verdicts live in the report, never in the exit
-code), 2 = invalid input, 3 = a resource cap was exceeded.
+code), 1 = an internal consistency check failed (InvariantViolationError),
+2 = invalid input, 3 = a resource cap was exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -78,13 +80,14 @@ def parse_input(doc, where: str = "$") -> tuple[WeightedAction, Options]:
     opts = doc.get("options", {})
     if not isinstance(opts, dict):
         raise InputError(f"{where}.options: expected an object")
-    options = Options(
-        sweep_bound=int(opts.get("sweep_bound", 2)),
-        wide_bound=int(opts.get("wide_bound", 3)),
-        degree_cap=int(opts.get("degree_cap", 12)),
-        max_candidates=int(opts.get("max_candidates", 10**6)),
-        solver_norm_cap=int(opts.get("solver_norm_cap", 64)),
-    )
+    values = {}
+    for f in dataclasses.fields(Options):
+        if f.name in opts:
+            try:
+                values[f.name] = int(opts[f.name])
+            except (TypeError, ValueError) as e:
+                raise InputError(f"{where}.options.{f.name}: expected an integer") from e
+    options = Options(**values)
     try:
         action = WeightedAction(
             ambient_dim=n,
@@ -107,13 +110,7 @@ def echo_input(action: WeightedAction, options: Options) -> dict:
         "quotient_congruences": [
             {"coeffs": list(c), "modulus": m} for c, m in action.congruences
         ],
-        "options": {
-            "sweep_bound": options.sweep_bound,
-            "wide_bound": options.wide_bound,
-            "degree_cap": options.degree_cap,
-            "max_candidates": options.max_candidates,
-            "solver_norm_cap": options.solver_norm_cap,
-        },
+        "options": dataclasses.asdict(options),
     }
 
 
@@ -225,7 +222,7 @@ def run(command: str, doc, flags) -> dict:
                 "free": free,
                 "witness": list(wit) if wit is not None else None,
                 "oracle": bounded_freeness_oracle(
-                    an.ctx.S, an.ctx.S_G, an.action, chi, options.degree_cap
+                    an.ctx.S, an.ctx.S_G, an.action, chi, options.degree_cap, budget=an.budget
                 ),
             }
         )
@@ -268,13 +265,7 @@ def run(command: str, doc, flags) -> dict:
             )
     elif command == "cofree":
         cap = flags.degree_cap or options.degree_cap
-        an2 = Analysis(action, Options(
-            sweep_bound=options.sweep_bound,
-            wide_bound=options.wide_bound,
-            degree_cap=cap,
-            max_candidates=options.max_candidates,
-            solver_norm_cap=options.solver_norm_cap,
-        ))
+        an2 = Analysis(action, dataclasses.replace(options, degree_cap=cap))
         dec = an2.cofree_decision
         report.update(
             {
@@ -333,7 +324,6 @@ def main(argv=None) -> int:
     parser.add_argument("--bound", type=int)
     parser.add_argument("--oracle-only", dest="oracle_only", action="store_true")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON report")
-    parser.add_argument("--json", action="store_true", help="compact JSON (default)")
     parser.add_argument("--timing", action="store_true", help="include wall-clock timing")
     args = parser.parse_args(argv)
 

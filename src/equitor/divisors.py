@@ -22,12 +22,12 @@ from .errors import (
 from .lattice import QuotientGroup, Sublattice, matrix_rank
 from .semigroup import (
     AffineSemigroup,
+    Budget,
     Vec,
     WeightedAction,
     build_semigroup,
+    enumerate_fiber,
     fiber_sample,
-    fiber_sample_with_bounds,
-    fiber_sample_with_values,
 )
 from .subgroups import invariant_action
 
@@ -78,7 +78,8 @@ def classify_facets(S_X: AffineSemigroup, S_G: AffineSemigroup) -> FacetClassifi
         zero_idx = frozenset(i for i, v in enumerate(vals) if v == 0)
         zero_rank = matrix_rank([hbg[i] for i in zero_idx])
         if zero_rank == S_G.rank:
-            assert all(v == 0 for v in vals)
+            if any(vals):
+                raise InvariantViolationError("facet valuation nonzero on a full-rank face")
             infos.append(FacetOverInvariants(HT0))
             ht0.append(P.index)
         elif zero_rank == S_G.rank - 1:
@@ -88,7 +89,8 @@ def classify_facets(S_X: AffineSemigroup, S_G: AffineSemigroup) -> FacetClassifi
             e = 0
             for col in S_G.lattice.basis:
                 e = gcd(e, P.value(col))
-            assert e > 0
+            if e <= 0:
+                raise InvariantViolationError("facet valuation vanishes on the invariant lattice")
             if any(P.value(h) != e * q.value(h) for h in hbg):
                 raise InvariantViolationError("facet valuation is not a multiple of the base one")
             infos.append(FacetOverInvariants(HT1, q_index=q.index, ram_index=e))
@@ -193,14 +195,14 @@ def _ceil_div(a: int, b: int) -> int:
 
 class DivisorContext:
     """Bundles one action with its semigroup pair, classification, and class
-    groups; memoizes the per-character computations."""
+    groups; memoizes the per-character computations.  Every solver call
+    runs under `budget`, shared with the analysis that made the context."""
 
-    def __init__(self, action: WeightedAction, max_norm: int = 96, max_nodes: int = 10**6):
+    def __init__(self, action: WeightedAction, budget: Budget | None = None):
         self.action = action
-        self.max_norm = max_norm
-        self.max_nodes = max_nodes
-        self.S = build_semigroup(action, max_norm=max_norm, max_nodes=max_nodes)
-        self.S_G = build_semigroup(invariant_action(action), max_norm=max_norm, max_nodes=max_nodes)
+        self.budget = budget or Budget()
+        self.S = build_semigroup(action, self.budget)
+        self.S_G = build_semigroup(invariant_action(action), self.budget)
         self.cls = classify_facets(self.S, self.S_G)
         self.cl_R = ClassGroupData.of(self.S, "R")
         self.cl_RG = ClassGroupData.of(self.S_G, "RG")
@@ -211,7 +213,7 @@ class DivisorContext:
     # -- fibers ------------------------------------------------------------
 
     def fiber_element(self, chi: Vec) -> Vec:
-        a = fiber_sample(self.action, self.action.reduce_char(chi))
+        a = fiber_sample(self.action, chi, budget=self.budget)
         if a is None:
             raise CharacterNotRealizedError(f"character {chi} has empty fiber")
         return a
@@ -329,7 +331,7 @@ class DivisorContext:
         for P in self.S.facets:
             if self.cls.facets[P.index].tier in (HT0, HT1):
                 exact[P.coord] = P.scale * D.coeffs[P.index]
-        w1 = fiber_sample_with_values(self.action, chi, exact)
+        w1 = fiber_sample(self.action, chi, equal=exact, budget=self.budget)
         # any witness of the strict fiberwise bounds has valuations pinned to
         # the character divisor, so its degree is controlled; the second
         # route searches only up to that bound
@@ -356,8 +358,8 @@ class DivisorContext:
 
     def _search_bound_combos(self, chi, choices, k, bounds, degree_limit):
         if k == len(choices):
-            return fiber_sample_with_bounds(
-                self.action, chi, bounds, degree_limit=degree_limit
+            return fiber_sample(
+                self.action, chi, upper=bounds, degree_limit=degree_limit, budget=self.budget
             )
         for coord, bound in choices[k]:
             if coord in bounds:
@@ -382,13 +384,9 @@ class DivisorContext:
         element drops below the minimal one at a coordinate.  Independent of
         the divisor-theoretic freeness route.
         """
-        from .semigroup import enumerate_fiber
-
         chi = self.action.reduce_char(chi)
-        a0 = fiber_sample(self.action, chi)
-        if a0 is None:
-            raise CharacterNotRealizedError(f"character {chi} has empty fiber")
-        slice_ = enumerate_fiber(self.S, self.action, chi, sum(a0))
+        a0 = self.fiber_element(chi)
+        slice_ = enumerate_fiber(self.S, self.action, chi, sum(a0), budget=self.budget)
         dmin = sum(slice_[0])
         mins = [b for b in slice_ if sum(b) == dmin]
         if len(mins) > 1:
@@ -397,7 +395,7 @@ class DivisorContext:
         for i in range(self.action.ambient_dim):
             if a[i] == 0:
                 continue
-            b = fiber_sample_with_bounds(self.action, chi, {i: a[i] - 1})
+            b = fiber_sample(self.action, chi, upper={i: a[i] - 1}, budget=self.budget)
             if b is not None:
                 return a, b
         return None
@@ -432,13 +430,6 @@ class DivisorContext:
         return d_ord
 
     # -- facet principality (for the non-principal reflection subgroup) ----
-
-    # spec-facing operation names
-    def minimal_effective_divisor(self, chi: Vec) -> DivisorVector:
-        return self.char_divisor(chi)
-
-    def stanley_free_test(self, chi: Vec) -> tuple[bool, Vec | None]:
-        return self.free_test(chi)
 
     def principal_facet_flags(self) -> dict[int, bool]:
         out = {}

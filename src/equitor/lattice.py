@@ -12,8 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
+from typing import TYPE_CHECKING
 
-from .errors import InputError
+from .errors import CappedComputationError, InputError, InvariantViolationError
+
+if TYPE_CHECKING:
+    from .semigroup import Budget
 
 Vec = tuple[int, ...]
 Rows = tuple[Vec, ...]
@@ -356,14 +360,6 @@ class Sublattice:
         return Sublattice.from_columns(cols, self.ambient)
 
 
-def lattice_sum(a: Sublattice, b: Sublattice) -> Sublattice:
-    return a.sum(b)
-
-
-def lattice_intersect(a: Sublattice, b: Sublattice) -> Sublattice:
-    return a.intersect(b)
-
-
 def kernel_basis(M: IntMatrix) -> list[Vec]:
     """Columns spanning {x : M x = 0} over Z."""
     if M.cols == 0:
@@ -541,51 +537,31 @@ def quotient_structure(generators: list[Vec], denominator: Sublattice) -> tuple[
     xcols = []
     for c in denominator.basis:
         sol = solve_diophantine(nmat, c)
-        assert sol is not None, "denominator not inside numerator lattice"
+        if sol is None:
+            raise InvariantViolationError("denominator not inside numerator lattice")
         xcols.append(sol[0])
     inner = Sublattice.from_columns(xcols, num.rank)
     q = QuotientGroup.of(inner)
     return q.invariant_factors
 
 
-def rational_shifted_cone_nonempty(x0: Vec, cols: list[Vec], max_rows: int = 20000) -> bool:
-    """Is {y rational : x0 + cols*y >= 0 componentwise} nonempty?
+FM_MAX_ROWS = 20000
 
-    Fourier-Motzkin elimination over exact integers (constraints scaled
-    through by positive factors only).
-    """
-    n = len(x0)
+
+def _cone_constraints(x0: Vec, cols: list[Vec]) -> set[tuple[Vec, int]]:
+    """The rows coeff . y + const >= 0 of {y : x0 + cols*y >= 0}."""
     r = len(cols)
-    cons = set()
-    for i in range(n):
-        coeff = tuple(cols[j][i] for j in range(r))
-        cons.add(_normalize_constraint(coeff, x0[i]))
-    for var in range(r):
-        pos, neg, zer = [], [], []
-        for coeff, const in cons:
-            a = coeff[var]
-            (pos if a > 0 else neg if a < 0 else zer).append((coeff, const))
-        new = set(zer)
-        for pc, pk in pos:
-            for qc, qk in neg:
-                ap, aq = pc[var], -qc[var]
-                coeff = tuple(aq * pc[j] + ap * qc[j] for j in range(r))
-                new.add(_normalize_constraint(coeff, aq * pk + ap * qk))
-                if len(new) > max_rows:
-                    raise InputError("rational elimination blew up")
-        cons = new
-    return all(const >= 0 for _coeff, const in cons)
+    return {
+        _normalize_constraint(tuple(cols[j][i] for j in range(r)), x0[i]) for i in range(len(x0))
+    }
 
 
-def _fm_variable_bounds(
-    cons: set[tuple[Vec, int]], r: int, keep: int, max_rows: int = 20000
-) -> tuple[int | None, int | None] | None:
-    """Integer bounds of variable `keep` over {y : coeff . y + const >= 0}.
-
-    Returns (lo, hi) with None for an unbounded side, or None when the
-    rational region is empty.
-    """
-    cons = set(cons)
+def _fm_eliminate(
+    cons: set[tuple[Vec, int]], r: int, keep: int | None = None
+) -> set[tuple[Vec, int]]:
+    """Fourier-Motzkin: project {y : coeff . y + const >= 0} onto variable
+    `keep` (onto nothing when None) over exact integers, scaling rows by
+    positive factors only."""
     for var in range(r):
         if var == keep:
             continue
@@ -599,12 +575,29 @@ def _fm_variable_bounds(
                 ap, aq = pc[var], -qc[var]
                 coeff = tuple(aq * pc[j] + ap * qc[j] for j in range(r))
                 new.add(_normalize_constraint(coeff, aq * pk + ap * qk))
-                if len(new) > max_rows:
-                    raise InputError("rational elimination blew up")
+                if len(new) > FM_MAX_ROWS:
+                    raise CappedComputationError("Fourier-Motzkin elimination (rows)", FM_MAX_ROWS)
         cons = new
+    return cons
+
+
+def rational_shifted_cone_nonempty(x0: Vec, cols: list[Vec]) -> bool:
+    """Is {y rational : x0 + cols*y >= 0 componentwise} nonempty?"""
+    cons = _fm_eliminate(_cone_constraints(x0, cols), len(cols))
+    return all(const >= 0 for _coeff, const in cons)
+
+
+def _fm_variable_bounds(
+    cons: set[tuple[Vec, int]], r: int, keep: int
+) -> tuple[int | None, int | None] | None:
+    """Integer bounds of variable `keep` over {y : coeff . y + const >= 0}.
+
+    Returns (lo, hi) with None for an unbounded side, or None when the
+    rational region is empty.
+    """
     lo: int | None = None
     hi: int | None = None
-    for coeff, const in cons:
+    for coeff, const in _fm_eliminate(cons, r, keep):
         c = coeff[keep]
         if c == 0:
             if const < 0:
@@ -622,12 +615,14 @@ def _fm_variable_bounds(
 
 
 def _ceil_frac(num: int, den: int) -> int:
-    assert den > 0
+    if den <= 0:
+        raise InvariantViolationError("rounding a fraction with a nonpositive denominator")
     return -((-num) // den)
 
 
 def _floor_frac(num: int, den: int) -> int:
-    assert den > 0
+    if den <= 0:
+        raise InvariantViolationError("rounding a fraction with a nonpositive denominator")
     return num // den
 
 
@@ -662,23 +657,19 @@ CAPPED = "capped"
 UNBOUNDED = "unbounded"
 
 
-def coset_orthant_search(
-    x0: Vec, cols: list[Vec], node_cap: int = 200000
-) -> tuple[str, Vec | None]:
+def coset_orthant_search(x0: Vec, cols: list[Vec], budget: Budget) -> tuple[str, Vec | None]:
     """Search {y integer : x0 + cols*y >= 0} by exact interval propagation.
 
     Returns ("found", point in the ambient), ("empty", None) when the region
     is a polytope exhausted without a point (a complete decision),
     ("unbounded", None) when some variable range is infinite (the search
-    does not apply), or ("capped", None) when the node budget ran out.
+    does not apply), or ("capped", None) when `budget.max_nodes` nodes ran out.
     """
     n = len(x0)
     r = len(cols)
     if r == 0:
         return (FOUND, tuple(x0)) if all(v >= 0 for v in x0) else (EMPTY, None)
-    cons: set[tuple[Vec, int]] = set()
-    for i in range(n):
-        cons.add(_normalize_constraint(tuple(cols[j][i] for j in range(r)), x0[i]))
+    cons = _cone_constraints(x0, cols)
     ranges = []
     for j in range(r):
         b = _fm_variable_bounds(cons, r, j)
@@ -691,18 +682,18 @@ def coset_orthant_search(
             return EMPTY, None
         ranges.append((lo, hi))
     order = sorted(range(r), key=lambda j: ranges[j][1] - ranges[j][0])
-    budget = [node_cap]
+    left = [budget.max_nodes]
 
     def dfs(k: int, x: list[int]) -> Vec | None:
         if k == r:
-            budget[0] -= 1
+            left[0] -= 1
             return tuple(x) if all(v >= 0 for v in x) else None
         j = order[k]
         lo, hi = ranges[j]
         rest = order[k + 1 :]
         for val in range(lo, hi + 1):
-            budget[0] -= 1
-            if budget[0] <= 0:
+            left[0] -= 1
+            if left[0] <= 0:
                 return None
             y = [x[i] + val * cols[j][i] for i in range(n)]
             # optimistic repair check with the unassigned columns
@@ -721,14 +712,14 @@ def coset_orthant_search(
             got = dfs(k + 1, y)
             if got is not None:
                 return got
-            if budget[0] <= 0:
+            if left[0] <= 0:
                 return None
         return None
 
     got = dfs(0, list(x0))
     if got is not None:
         return FOUND, got
-    return (CAPPED, None) if budget[0] <= 0 else (EMPTY, None)
+    return (CAPPED, None) if left[0] <= 0 else (EMPTY, None)
 
 
 def _normalize_constraint(coeff: Vec, const: int) -> tuple[Vec, int]:
@@ -739,21 +730,3 @@ def _normalize_constraint(coeff: Vec, const: int) -> tuple[Vec, int]:
     if g > 1:
         return tuple(c // g for c in coeff), const // g
     return coeff, const
-
-
-def subgroup_algebra(op: str, *args):
-    """Dispatch for basic sublattice operations (sum/intersect/scale/saturate/contains)."""
-    if op == "sum":
-        return lattice_sum(*args)
-    if op == "intersect":
-        return lattice_intersect(*args)
-    if op == "scale":
-        m, lat = args
-        return lat.scale(m)
-    if op == "saturate":
-        (lat,) = args
-        return lat.saturate()
-    if op == "contains":
-        lat, v = args
-        return lat.contains(v)
-    raise InputError(f"unknown sublattice operation {op!r}")

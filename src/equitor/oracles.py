@@ -12,6 +12,7 @@ from .errors import CappedComputationError, InputError
 from .lattice import matrix_rank, solve_diophantine
 from .semigroup import (
     AffineSemigroup,
+    Budget,
     Vec,
     WeightedAction,
     enumerate_fiber,
@@ -86,6 +87,7 @@ def bounded_freeness_oracle(
     action: WeightedAction,
     chi: Vec,
     degree_cap: int = 12,
+    budget: Budget | None = None,
 ) -> str:
     """Tri-state freeness check on the degree slice [0, degree_cap].
 
@@ -93,7 +95,7 @@ def bounded_freeness_oracle(
     with its translate of the invariant semigroup; a violation inside the
     slice is conclusive, agreement is a verdict only at this cap.
     """
-    fiber = enumerate_fiber(S_X, action, chi, degree_cap)
+    fiber = enumerate_fiber(S_X, action, chi, degree_cap, budget=budget)
     if not fiber:
         return INCONCLUSIVE
     a = fiber[0]

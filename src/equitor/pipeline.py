@@ -32,6 +32,7 @@ from .reduced import (
     sweep_chars,
 )
 from .semigroup import (
+    Budget,
     Vec,
     WeightedAction,
     build_semigroup,
@@ -48,7 +49,6 @@ from .subgroups import (
     quotient_action,
     restriction_data,
     tor_subgroup,
-    trivial_subgroup,
 )
 
 UNKNOWN = "unknown-capped"
@@ -59,8 +59,8 @@ class Options:
     sweep_bound: int = 2
     wide_bound: int = 3
     degree_cap: int = 12  # oracle degree slices
-    max_candidates: int = 10**6
-    solver_norm_cap: int = 64  # completion-solver breadth-first depth
+    max_candidates: int = Budget.max_nodes
+    solver_norm_cap: int = Budget.max_norm  # completion-solver breadth-first depth
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,6 @@ def check_equidimensional(action: WeightedAction, options: Options = Options()) 
     return Analysis(action, options).verdict
 
 
-def obstruction_subgroup(
-    action: WeightedAction, options: Options = Options()
-) -> ObstructionData | None:
-    return Analysis(action, options).obstruction
-
-
 def corollary_13_check(action: WeightedAction, options: Options = Options()) -> bool | None:
     return Analysis(action, options).corollary_consistency()
 
@@ -148,6 +142,7 @@ class Analysis:
     def __init__(self, action: WeightedAction, options: Options = Options()):
         self.input_action = action
         self.options = options
+        self.budget = Budget(max_norm=options.solver_norm_cap, max_nodes=options.max_candidates)
 
     # -- reductions ---------------------------------------------------------
 
@@ -175,10 +170,7 @@ class Analysis:
     @cached_property
     def input_stable(self) -> bool:
         act = self.connected_action
-        S = build_semigroup(
-            act, max_norm=self.options.solver_norm_cap, max_nodes=self.options.max_candidates
-        )
-        return is_stable(S, act)
+        return is_stable(build_semigroup(act, self.budget), act, self.budget)
 
     @cached_property
     def action(self) -> WeightedAction:
@@ -186,34 +178,26 @@ class Analysis:
         act = self.connected_action
         if self.input_stable:
             return act
-        S = build_semigroup(act)
-        units = SubgroupOfA(act, weight_unit_lattice(S, act))
+        S = build_semigroup(act, self.budget)
+        units = SubgroupOfA(act, weight_unit_lattice(S, act, self.budget))
         reduced = quotient_action(act, perp(units))
-        S2 = build_semigroup(reduced)
-        if not is_stable(S2, reduced):
+        S2 = build_semigroup(reduced, self.budget)
+        if not is_stable(S2, reduced, self.budget):
             raise InvariantViolationError("stability reduction did not stabilize")
         return reduced
 
     @cached_property
     def ctx(self) -> DivisorContext:
-        return DivisorContext(
-            self.action,
-            max_norm=self.options.solver_norm_cap,
-            max_nodes=self.options.max_candidates,
-        )
+        return DivisorContext(self.action, self.budget)
 
     def context_for(self, H: SubgroupOfG) -> DivisorContext:
-        return DivisorContext(
-            quotient_action(self.action, H),
-            max_norm=self.options.solver_norm_cap,
-            max_nodes=self.options.max_candidates,
-        )
+        return DivisorContext(quotient_action(self.action, H), self.budget)
 
     # -- group theory of the stabilized action ------------------------------
 
     @cached_property
     def units(self) -> SubgroupOfA:
-        return SubgroupOfA(self.action, weight_unit_lattice(self.ctx.S, self.action))
+        return SubgroupOfA(self.action, weight_unit_lattice(self.ctx.S, self.action, self.budget))
 
     @cached_property
     def kernel(self) -> SubgroupOfG:
@@ -223,17 +207,6 @@ class Analysis:
     def reflection(self) -> SubgroupOfG:
         return pseudo_reflection_group(
             self.ctx.S, self.action, self.ctx.ht1_facets(), self.kernel
-        )
-
-    @cached_property
-    def nonprincipal_reflection(self) -> SubgroupOfG:
-        return pseudo_reflection_group(
-            self.ctx.S,
-            self.action,
-            self.ctx.ht1_facets(),
-            self.kernel,
-            non_principal_only=True,
-            principal_flags=self.ctx.obstructing_facet_flags(),
         )
 
     @cached_property
@@ -315,11 +288,11 @@ class Analysis:
         power = m
         for _ in range(64):
             cur = BL.scale(power).sum(BH)
-            if prev is not None and cur == prev:
-                break
+            if cur == prev:
+                return SubgroupOfG(prev)
             prev = cur
             power *= m
-        return SubgroupOfG(prev)
+        raise InvariantViolationError(f"{m}-primary part did not stabilise in 64 steps")
 
     # -- cofreeness ----------------------------------------------------------
 
@@ -344,7 +317,7 @@ class Analysis:
         for chi in sorted(chars):
             free, _wit = ctx.free_test(chi)
             verdict = bounded_freeness_oracle(
-                ctx.S, ctx.S_G, act, chi, self.options.degree_cap
+                ctx.S, ctx.S_G, act, chi, self.options.degree_cap, budget=ctx.budget
             )
             if verdict != INCONCLUSIVE:
                 checked += 1
@@ -457,7 +430,7 @@ class Analysis:
         else:
             conds["exponent_multiples_free"] = False
         delta = perp(self.qualified.group)
-        S_delta = build_semigroup(quotient_action(act, delta))
+        S_delta = build_semigroup(quotient_action(act, delta), self.budget)
         conds["qualified_quotient_equidimensional"] = null_fiber_dimension(
             S_delta, self.ctx.S_G
         )[1]
@@ -474,5 +447,6 @@ class Analysis:
         if v.equidimensional != "yes":
             return None
         obs = self.obstruction
-        assert obs is not None
+        if obs is None:
+            raise InvariantViolationError("equidimensional verdict without obstruction data")
         return (v.cofree == "yes") == (obs.restriction.order == 1)

@@ -21,7 +21,7 @@ from math import lcm
 from .divisors import DivisorContext, no_blowing_up_check
 from .errors import InvariantViolationError
 from .lattice import Sublattice, quotient_structure
-from .semigroup import Vec, fiber_sample_with_values
+from .semigroup import Vec, fiber_sample
 from .subgroups import SubgroupOfA, SubgroupOfG
 
 
@@ -58,7 +58,7 @@ def qualified_lattice(
 def _avoids_deep_facets(ctx: DivisorContext, chi: Vec) -> bool:
     for pi in ctx.cls.ht2plus:
         P = ctx.S.facets[pi]
-        if fiber_sample_with_values(ctx.action, chi, {P.coord: 0}) is None:
+        if fiber_sample(ctx.action, chi, equal={P.coord: 0}, budget=ctx.budget) is None:
             return False
     return True
 

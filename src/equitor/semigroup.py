@@ -9,10 +9,9 @@ intersection of an orthant with a subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
-from .errors import CappedComputationError, InputError
+from .errors import CappedComputationError, InputError, InvariantViolationError
 from .lattice import (
     IntMatrix,
     Sublattice,
@@ -28,8 +27,23 @@ from .lattice import (
 
 Vec = tuple[int, ...]
 
-DEFAULT_DEGREE_CAP = 24
-DEFAULT_MAX_CANDIDATES = 10**6
+
+@dataclass(eq=False)
+class Budget:
+    """The solver caps and memo tables of one analysis.
+
+    `max_norm` bounds the completion solver's breadth-first depth;
+    `max_nodes` bounds the candidates of the completion solver and the
+    nodes of the coset search.  The memo tables (semigroups, fiber points,
+    weight slices) live and die with the budget, so no result depends on
+    what an earlier analysis computed or under which caps.
+    """
+
+    max_norm: int = 64
+    max_nodes: int = 10**6
+    semigroups: dict = field(default_factory=dict, repr=False)
+    fibers: dict = field(default_factory=dict, repr=False)
+    slices: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass(frozen=True)
@@ -174,11 +188,7 @@ def _dot(a: Vec, b: Vec) -> int:
 
 
 def minimal_nonneg_solutions(
-    rows: list[Vec],
-    n: int,
-    max_norm: int = 4 * DEFAULT_DEGREE_CAP,
-    max_nodes: int = DEFAULT_MAX_CANDIDATES,
-    stop_on_coord: tuple[int, int] | None = None,
+    rows: list[Vec], n: int, budget: Budget, stop_on_coord: tuple[int, int] | None = None
 ) -> list[Vec]:
     """Minimal nonzero solutions of rows . x = 0 with x in Z_0^n.
 
@@ -206,8 +216,8 @@ def minimal_nonneg_solutions(
     nodes = 0
     norm = 1
     while frontier:
-        if norm > max_norm:
-            raise CappedComputationError("completion solver (degree)", max_norm)
+        if norm > budget.max_norm:
+            raise CappedComputationError("completion solver (degree)", budget.max_norm)
         new_sols = []
         expand = []
         for x, v in frontier.items():
@@ -234,8 +244,10 @@ def minimal_nonneg_solutions(
                     if any(all(a >= b for a, b in zip(yt, s)) for s in sols):
                         continue
                     nodes += 1
-                    if nodes > max_nodes:
-                        raise CappedComputationError("completion solver (candidates)", max_nodes)
+                    if nodes > budget.max_nodes:
+                        raise CappedComputationError(
+                            "completion solver (candidates)", budget.max_nodes
+                        )
                     nxt[yt] = tuple(a + b for a, b in zip(v, cols[j]))
         frontier = nxt
         norm += 1
@@ -280,8 +292,7 @@ def solve_system_nonneg(
     congruences: tuple[tuple[Vec, int], ...],
     n: int,
     rhs: dict[int, int] | None = None,
-    max_norm: int = 4 * DEFAULT_DEGREE_CAP,
-    max_nodes: int = DEFAULT_MAX_CANDIDATES,
+    budget: Budget | None = None,
 ) -> Vec | None:
     """One nonneg integer solution of the congruence system with right-hand sides.
 
@@ -289,6 +300,7 @@ def solve_system_nonneg(
     rows are homogeneous.  Returns a solution in the original n variables or
     None when the system is infeasible (decided exactly).
     """
+    budget = budget or Budget()
     rows, total, rvals = _lift_system(congruences, n, rhs)
     if all(v == 0 for v in rvals):
         return (0,) * n
@@ -309,59 +321,44 @@ def solve_system_nonneg(
         return got[:n] if got is not None else None
     # direct coset search: a complete decision whenever the region is a
     # polytope, and a fast witness finder otherwise
-    status, got = coset_orthant_search(x0, list(ker.basis))
+    status, got = coset_orthant_search(x0, list(ker.basis), budget)
     if status == FOUND:
         return got[:n]
     if status == EMPTY:
         return None
     if status == CAPPED:
-        raise CappedComputationError("coset search (candidates)", max_nodes)
+        raise CappedComputationError("coset search (candidates)", budget.max_nodes)
     # unbounded region: the completion search decides exactly
     hom_rows = [row + (-rv,) for row, rv in zip(rows, rvals)]
-    got = minimal_nonneg_solutions(
-        hom_rows, total + 1, max_norm=max_norm, max_nodes=max_nodes, stop_on_coord=(total, 1)
-    )
+    got = minimal_nonneg_solutions(hom_rows, total + 1, budget, stop_on_coord=(total, 1))
     if not got:
         return None
     return got[0][:n]
 
 
 def hilbert_basis(
-    congruences: tuple[tuple[Vec, int], ...],
-    n: int,
-    max_norm: int = 4 * DEFAULT_DEGREE_CAP,
-    max_nodes: int = DEFAULT_MAX_CANDIDATES,
+    congruences: tuple[tuple[Vec, int], ...], n: int, budget: Budget | None = None
 ) -> tuple[Vec, ...]:
     """Unique minimal generating set of {a in Z_0^n : congruences hold}, graded-lex."""
     rows, total, _ = _lift_system(congruences, n)
-    sols = minimal_nonneg_solutions(rows, total, max_norm=max_norm, max_nodes=max_nodes)
+    sols = minimal_nonneg_solutions(rows, total, budget or Budget())
     # slack values are determined by the a-part, so projection preserves minimality
     basis = sorted({s[:n] for s in sols if any(s[:n])}, key=lambda v: (sum(v), v))
     return tuple(basis)
 
 
-_SEMIGROUP_CACHE: dict[tuple, AffineSemigroup] = {}
-
-
-def build_semigroup(
-    action: WeightedAction,
-    extra_congruences: tuple[tuple[Vec, int], ...] = (),
-    max_norm: int = 4 * DEFAULT_DEGREE_CAP,
-    max_nodes: int = DEFAULT_MAX_CANDIDATES,
-) -> AffineSemigroup:
-    """Build the affine semigroup of the action (optionally further constrained)."""
-    key = (action.ambient_dim, action.congruences, extra_congruences)
-    hit = _SEMIGROUP_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n = action.ambient_dim
-    congs = action.congruences + extra_congruences
-    hb = hilbert_basis(congs, n, max_norm=max_norm, max_nodes=max_nodes)
-    lattice = Sublattice.from_columns(list(hb), n)
-    rank = lattice.rank
-    facets = _facets_from_basis(hb, lattice, rank, n)
-    S = AffineSemigroup(n, hb, lattice, facets, rank)
-    _SEMIGROUP_CACHE[key] = S
+def build_semigroup(action: WeightedAction, budget: Budget | None = None) -> AffineSemigroup:
+    """The affine semigroup of the action, memoized in the budget."""
+    budget = budget or Budget()
+    key = (action.ambient_dim, action.congruences)
+    S = budget.semigroups.get(key)
+    if S is None:
+        n = action.ambient_dim
+        hb = hilbert_basis(action.congruences, n, budget)
+        lattice = Sublattice.from_columns(list(hb), n)
+        rank = lattice.rank
+        facets = _facets_from_basis(hb, lattice, rank, n)
+        S = budget.semigroups[key] = AffineSemigroup(n, hb, lattice, facets, rank)
     return S
 
 
@@ -386,7 +383,8 @@ def _facets_from_basis(
         scale = 0
         for v in vals:
             scale = _gcd(scale, v)
-        assert scale > 0
+        if scale <= 0:
+            raise InvariantViolationError("facet coordinate vanishes on the lattice")
         facets.append(
             FacetPrime(
                 index=idx,
@@ -417,89 +415,51 @@ def fiber_rhs(action: WeightedAction, chi: Vec) -> dict[int, int]:
     return {base + i: chi[i] for i in range(action.char_length)}
 
 
-@lru_cache(maxsize=65536)
 def fiber_sample(
     action: WeightedAction,
     chi: Vec,
-    extra: tuple[tuple[Vec, int], ...] = (),
-    max_norm: int = 4 * DEFAULT_DEGREE_CAP,
-    max_nodes: int = DEFAULT_MAX_CANDIDATES,
-) -> Vec | None:
-    """Some exponent vector of weight chi in the semigroup, or None (exact).
-
-    `extra` adds congruence rows (with homogeneous right-hand side) on top of
-    the action's own; used for face and valuation constraints.
-    """
-    congs = action.congruences + weight_fiber_congruences(action) + extra
-    return solve_system_nonneg(
-        congs, action.ambient_dim, fiber_rhs(action, chi), max_norm=max_norm, max_nodes=max_nodes
-    )
-
-
-def fiber_sample_with_values(
-    action: WeightedAction,
-    chi: Vec,
-    coord_values: dict[int, int],
-    max_norm: int = 4 * DEFAULT_DEGREE_CAP,
-    max_nodes: int = DEFAULT_MAX_CANDIDATES,
-) -> Vec | None:
-    """Fiber element with prescribed exact values at some coordinates."""
-    n = action.ambient_dim
-    congs = list(action.congruences) + list(weight_fiber_congruences(action))
-    rhs = fiber_rhs(action, chi)
-    for coord, val in sorted(coord_values.items()):
-        row = tuple(1 if j == coord else 0 for j in range(n))
-        rhs[len(congs)] = val
-        congs.append((row, 0))
-    return solve_system_nonneg(tuple(congs), n, rhs, max_norm=max_norm, max_nodes=max_nodes)
-
-
-def fiber_sample_with_bounds(
-    action: WeightedAction,
-    chi: Vec,
-    coord_bounds: dict[int, int],
+    *,
+    equal: dict[int, int] | None = None,
+    upper: dict[int, int] | None = None,
     degree_limit: int | None = None,
-    max_norm: int = 4 * DEFAULT_DEGREE_CAP,
-    max_nodes: int = DEFAULT_MAX_CANDIDATES,
+    budget: Budget | None = None,
 ) -> Vec | None:
-    """Fiber element with a[coord] <= bound for each given coordinate.
+    """Some weight-chi element a of the semigroup, or None (exact).
 
-    Bounds become equations with one extra slack variable each; the slack
-    block is appended after the real variables and projected away.  With
-    `degree_limit` the search is restricted to total degree <= limit.
+    `equal` fixes a[coord] = value and `upper` bounds a[coord] <= bound at
+    the given coordinates; `degree_limit` bounds the total degree.  Each
+    upper bound becomes an equation with one slack variable; the slack block
+    is appended after the real variables and projected away.
     """
-    n = action.ambient_dim
-    items = sorted(coord_bounds.items())
-    if any(bound < 0 for _, bound in items):
-        return None
-    s = len(items) + (1 if degree_limit is not None else 0)
-    congs = []
-    for coeffs, m in action.congruences + weight_fiber_congruences(action):
-        congs.append((tuple(coeffs) + (0,) * s, m))
-    rhs = dict(fiber_rhs(action, chi))
-    for k, (coord, bound) in enumerate(items):
-        row = [0] * (n + s)
-        row[coord] = 1
-        row[n + k] = 1
-        rhs[len(congs)] = bound
-        congs.append((tuple(row), 0))
-    if degree_limit is not None:
-        row = [1] * n + [0] * s
-        row[n + len(items)] = 1
-        rhs[len(congs)] = degree_limit
-        congs.append((tuple(row), 0))
-    sol = solve_system_nonneg(tuple(congs), n + s, rhs, max_norm=max_norm, max_nodes=max_nodes)
-    return sol[:n] if sol is not None else None
+    budget = budget or Budget()
+    chi = action.reduce_char(chi)
+    equal_items = tuple(sorted((equal or {}).items()))
+    upper_items = tuple(sorted((upper or {}).items()))
+    key = (action, chi, equal_items, upper_items, degree_limit)
+    if key in budget.fibers:
+        return budget.fibers[key]
+    got = None
+    if all(bound >= 0 for _, bound in upper_items):
+        n = action.ambient_dim
+        s = len(upper_items) + (degree_limit is not None)
+        congs = [
+            (tuple(coeffs) + (0,) * s, m)
+            for coeffs, m in action.congruences + weight_fiber_congruences(action)
+        ]
+        rhs = fiber_rhs(action, chi)
+        bounded = [((coord,), val) for coord, val in equal_items]
+        bounded += [((coord, n + k), bound) for k, (coord, bound) in enumerate(upper_items)]
+        if degree_limit is not None:
+            bounded.append((tuple(range(n)) + (n + s - 1,), degree_limit))
+        for support, value in bounded:
+            rhs[len(congs)] = value
+            congs.append((tuple(int(j in support) for j in range(n + s)), 0))
+        sol = solve_system_nonneg(tuple(congs), n + s, rhs, budget)
+        got = sol[:n] if sol is not None else None
+    budget.fibers[key] = got
+    return got
 
 
-def fiber_avoids_prime(
-    S: AffineSemigroup, action: WeightedAction, chi: Vec, P: FacetPrime
-) -> bool:
-    """True iff some weight-chi monomial lies off the facet prime P."""
-    return fiber_sample_with_values(action, chi, {P.coord: 0}) is not None
-
-
-@lru_cache(maxsize=4096)
 def _weight_slices(action: WeightedAction, degree_cap: int) -> dict[Vec, tuple[Vec, ...]]:
     """Semigroup elements of degree <= cap, grouped by weight, graded-lex."""
     groups: dict[Vec, list[Vec]] = {}
@@ -512,12 +472,22 @@ def _weight_slices(action: WeightedAction, degree_cap: int) -> dict[Vec, tuple[V
 
 
 def enumerate_fiber(
-    S: AffineSemigroup, action: WeightedAction, chi: Vec, degree_cap: int
+    S: AffineSemigroup,
+    action: WeightedAction,
+    chi: Vec,
+    degree_cap: int,
+    *,
+    budget: Budget | None = None,
 ) -> list[Vec]:
     """All weight-chi semigroup elements of total degree <= degree_cap, graded-lex."""
     if degree_cap < 0:
         raise InputError("degree cap must be >= 0")
-    return list(_weight_slices(action, degree_cap).get(action.reduce_char(chi), ()))
+    budget = budget or Budget()
+    key = (action, degree_cap)
+    slices = budget.slices.get(key)
+    if slices is None:
+        slices = budget.slices[key] = _weight_slices(action, degree_cap)
+    return list(slices.get(action.reduce_char(chi), ()))
 
 
 def _nonneg_vectors(n: int, cap: int):
@@ -537,17 +507,9 @@ def _satisfies(congruences, a: Vec) -> bool:
     return True
 
 
-def semigroup_member_sample(S: AffineSemigroup) -> Vec:
-    """A strictly interior element: the sum of the Hilbert basis."""
-    n = S.ambient_dim
-    out = [0] * n
-    for h in S.hilbert_basis:
-        for i in range(n):
-            out[i] += h[i]
-    return tuple(out)
-
-
-def weight_unit_lattice(S: AffineSemigroup, action: WeightedAction) -> Sublattice:
+def weight_unit_lattice(
+    S: AffineSemigroup, action: WeightedAction, budget: Budget | None = None
+) -> Sublattice:
     """Subgroup of the character group of weights realized with both signs.
 
     A Hilbert-basis weight w is a unit iff -w is realized; the units form a
@@ -562,18 +524,13 @@ def weight_unit_lattice(S: AffineSemigroup, action: WeightedAction) -> Sublattic
         seen.add(w)
         if w == action.zero_char:
             continue
-        if fiber_sample(action, action.char_neg(w)) is not None:
+        if fiber_sample(action, action.char_neg(w), budget=budget) is not None:
             gens.append(action.raw_weight(h))
     rel = action.relation_lattice()
     return Sublattice.from_columns(gens + list(rel.basis), action.char_length)
 
 
-def paired_unit_lattice(
-    S: AffineSemigroup,
-    action: WeightedAction,
-    max_norm: int = 4 * DEFAULT_DEGREE_CAP,
-    max_nodes: int = DEFAULT_MAX_CANDIDATES,
-) -> Sublattice:
+def paired_unit_lattice(S: AffineSemigroup, action: WeightedAction) -> Sublattice:
     """Unit-weight subgroup from the paired system {(a,b): wt(a) + wt(b) = 0}.
 
     Independent route kept as an oracle for weight_unit_lattice.
@@ -586,7 +543,7 @@ def paired_unit_lattice(
     for coeffs, m in action.weight_rows():
         congs.append((tuple(coeffs) + tuple(coeffs), m))
     rows, total, _ = _lift_system(tuple(congs), 2 * n)
-    sols = minimal_nonneg_solutions(rows, total, max_norm=max_norm, max_nodes=max_nodes)
+    sols = minimal_nonneg_solutions(rows, total, Budget())
     gens = [action.raw_weight(s[:n]) for s in sols]
     rel = action.relation_lattice()
     return Sublattice.from_columns(gens + list(rel.basis), action.char_length)

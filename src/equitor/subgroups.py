@@ -17,10 +17,10 @@ from .errors import InputError, InvariantViolationError
 from .lattice import QuotientGroup, Sublattice, quotient_structure
 from .semigroup import (
     AffineSemigroup,
+    Budget,
     FacetPrime,
     Vec,
     WeightedAction,
-    build_semigroup,
     weight_unit_lattice,
 )
 
@@ -188,20 +188,10 @@ def restriction_data(H: SubgroupOfG, L: SubgroupOfG) -> FiniteAbelianData | None
     BL = L.annihilator.lattice
     BH = H.annihilator.lattice
     inner = BL.intersect(BH)
-    factors = quotient_structure(list(BL.basis), _embed_as_denominator(inner, BL))
+    factors = quotient_structure(list(BL.basis), inner)
     if any(d == 0 for d in factors):
         return None
     return FiniteAbelianData(tuple(d for d in factors if d > 1))
-
-
-def _embed_as_denominator(inner: Sublattice, outer: Sublattice) -> Sublattice:
-    # quotient_structure expects denominator <= span(generators); it already is
-    return inner
-
-
-def subgroup_restriction_order(H: SubgroupOfG, L: SubgroupOfG) -> int | None:
-    data = restriction_data(H, L)
-    return data.order if data is not None else None
 
 
 def quotient_action(action: WeightedAction, H: SubgroupOfG) -> WeightedAction:
@@ -248,13 +238,8 @@ def weight_unit_group(S: AffineSemigroup, action: WeightedAction) -> SubgroupOfA
     return SubgroupOfA(action, weight_unit_lattice(S, action))
 
 
-def stability_kernel(S: AffineSemigroup, action: WeightedAction) -> SubgroupOfG:
-    """Kernel of all unit weights; the action is stable iff it acts trivially."""
-    return SubgroupOfG(weight_unit_group(S, action))
-
-
-def is_stable(S: AffineSemigroup, action: WeightedAction) -> bool:
-    units = weight_unit_lattice(S, action)
+def is_stable(S: AffineSemigroup, action: WeightedAction, budget: Budget | None = None) -> bool:
+    units = weight_unit_lattice(S, action, budget)
     return all(units.contains(action.raw_weight(h)) for h in S.hilbert_basis)
 
 

@@ -154,6 +154,8 @@ def test_parse_input_pointered_errors():
                 "quotient_congruences": [{"coeffs": [1], "modulus": -1}],
             }
         )
+    with pytest.raises(InputError, match=r"\$\.options\.degree_cap"):
+        parse_input({"ambient_dim": 1, "torus_rank": 1, "weights": [[1]], "options": {"degree_cap": "x"}})
 
 
 def test_non_equidimensional_report(tmp_path):
@@ -184,3 +186,19 @@ def test_main_in_process(tmp_path, capsys):
     assert rep["stable"] == "no"
     assert rep["equidimensional"] == "yes"
     assert rep["reductions"]["stability_quotient"] is True
+
+
+def test_fourier_motzkin_cap_exits_3(monkeypatch, capsys):
+    import equitor.lattice
+
+    monkeypatch.setattr(equitor.lattice, "FM_MAX_ROWS", 0)
+    assert main(["analyze", str(FIXTURES / "example_5_7.json")]) == 3
+    assert "Fourier-Motzkin" in capsys.readouterr().err
+
+
+def test_unknown_option_keys_ignored_and_defaults_from_options():
+    from equitor.pipeline import Options
+
+    doc = {"ambient_dim": 1, "torus_rank": 1, "weights": [[1]], "options": {"degree_cap": 7, "x": 1}}
+    _, options = parse_input(doc)
+    assert options == Options(degree_cap=7)

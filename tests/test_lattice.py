@@ -3,8 +3,9 @@ from math import gcd
 
 import pytest
 
-from equitor.errors import InputError
+from equitor.errors import CappedComputationError, InputError
 from equitor.lattice import (
+    FM_MAX_ROWS,
     IntMatrix,
     QuotientGroup,
     Sublattice,
@@ -13,9 +14,9 @@ from equitor.lattice import (
     kernel_basis,
     matrix_rank,
     quotient_structure,
+    rational_shifted_cone_nonempty,
     smith_normal_form,
     solve_diophantine,
-    subgroup_algebra,
 )
 
 
@@ -142,11 +143,11 @@ def test_hnf_canonical_for_equal_lattices():
 def test_subgroup_algebra_examples():
     two = Sublattice.from_columns([(2,)], 1)
     three = Sublattice.from_columns([(3,)], 1)
-    assert subgroup_algebra("sum", two, three) == Sublattice.full(1)
-    assert subgroup_algebra("intersect", two, three) == Sublattice.from_columns([(6,)], 1)
-    assert subgroup_algebra("scale", 2, two) == Sublattice.from_columns([(4,)], 1)
-    assert subgroup_algebra("contains", two, (4,)) is True
-    assert subgroup_algebra("contains", two, (3,)) is False
+    assert two.sum(three) == Sublattice.full(1)
+    assert two.intersect(three) == Sublattice.from_columns([(6,)], 1)
+    assert two.scale(2) == Sublattice.from_columns([(4,)], 1)
+    assert two.contains((4,)) is True
+    assert two.contains((3,)) is False
 
 
 def test_subgroup_algebra_commutes_and_associates():
@@ -238,3 +239,18 @@ def test_ambient_mismatch_errors():
         a.sum(b)
     with pytest.raises(InputError):
         class_order((1, 0), a)
+
+
+def test_fourier_motzkin_blowup_is_a_cap():
+    # 150 rows with a positive and 150 with a negative first coefficient
+    # pair into more than FM_MAX_ROWS distinct rows in the first step
+    n = 300
+    x0 = tuple(i % 13 for i in range(n))
+    cols = [
+        tuple((1 if i % 2 else -1) * (1 + i % 7) for i in range(n)),
+        tuple(range(n)),
+        tuple(i * i % 101 for i in range(n)),
+    ]
+    with pytest.raises(CappedComputationError) as err:
+        rational_shifted_cone_nonempty(x0, cols)
+    assert err.value.cap == FM_MAX_ROWS == 20000

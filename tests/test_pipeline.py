@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from equitor.errors import InputError
+from equitor.errors import CappedComputationError, InputError, InvariantViolationError
 from equitor.oracles import INCONCLUSIVE, YES, bounded_freeness_oracle
 from equitor.pipeline import (
     Analysis,
@@ -22,6 +22,7 @@ from equitor.subgroups import (
     restrict_action_to_subgroup,
     restriction_data,
     tor_subgroup,
+    whole_group,
 )
 from conftest import (
     action_5_7,
@@ -223,3 +224,19 @@ def test_corpus_smoke():
         assert an.corollary_consistency() is not False
         done += 1
     assert done >= 20
+
+
+@pytest.mark.parametrize("cap", [48, 64])
+def test_solver_norm_cap_is_applied_as_stated(cap):
+    # orthant pool #378: every fiber search must run under the stated cap
+    act = WeightedAction(5, 2, (), ((3, 0), (3, -2), (1, -3), (-3, 2), (-2, -3)), ())
+    with pytest.raises(CappedComputationError) as err:
+        Analysis(act, Options(solver_norm_cap=cap)).verdict
+    assert err.value.cap == cap
+
+
+def test_primary_part_raises_when_it_does_not_stabilise():
+    an = Analysis(action_5_7())
+    # the whole torus restricts to an infinite group: 2^k B_L never stabilises
+    with pytest.raises(InvariantViolationError):
+        an._primary_part(2, whole_group(an.action))

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from equitor.errors import InputError
+from equitor.errors import CappedComputationError, InputError
 from equitor.lattice import matrix_rank
 from equitor.semigroup import (
+    Budget,
     WeightedAction,
     build_semigroup,
     enumerate_fiber,
-    fiber_avoids_prime,
     fiber_sample,
     hilbert_basis,
     paired_unit_lattice,
@@ -209,8 +209,8 @@ def test_fiber_avoids_prime_trivial_cases():
     )
     S = build_semigroup(action)
     P1 = next(p for p in S.facets if p.coord == 0)
-    assert fiber_avoids_prime(S, action, (0, 0), P1)
-    assert not fiber_avoids_prime(S, action, (1, 0), P1)
+    assert fiber_sample(action, (0, 0), equal={P1.coord: 0}) is not None
+    assert fiber_sample(action, (1, 0), equal={P1.coord: 0}) is None
 
 
 def test_fiber_avoids_prime_vs_enumeration(fx58):
@@ -220,12 +220,12 @@ def test_fiber_avoids_prime_vs_enumeration(fx58):
         fib = enumerate_fiber(S, action, chi, 12)
         for P in S.facets:
             seen_off = any(a[P.coord] == 0 for a in fib)
-            got = fiber_avoids_prime(S, action, chi, P)
+            got = fiber_sample(action, chi, equal={P.coord: 0}) is not None
             if seen_off:
                 assert got
         # the enumeration at this cap found a witness whenever one exists
         for P in S.facets:
-            if fiber_avoids_prime(S, action, chi, P):
+            if fiber_sample(action, chi, equal={P.coord: 0}) is not None:
                 assert any(a[P.coord] == 0 for a in fib)
 
 
@@ -281,3 +281,38 @@ def test_weight_reduction_mod_torsion():
     )
     assert a.weights == ((2,),)
     assert a.weight_of((4,)) == (2,)
+
+
+def test_capped_build_does_not_depend_on_call_history(fx58):
+    with pytest.raises(CappedComputationError) as fresh:
+        build_semigroup(fx58, Budget(max_norm=2))
+    assert fresh.value.cap == 2
+    assert build_semigroup(fx58).hilbert_basis
+    with pytest.raises(CappedComputationError) as again:
+        build_semigroup(fx58, Budget(max_norm=2))
+    assert again.value.cap == 2
+
+
+def test_coset_search_runs_under_the_budget_node_cap():
+    # weight 7 from weights 2, 3, 5: a bounded fiber reached by the coset search
+    action = WeightedAction(ambient_dim=3, free_rank=1, torsion_moduli=(), weights=((2,), (3,), (5,)))
+    with pytest.raises(CappedComputationError) as err:
+        fiber_sample(action, (7,), budget=Budget(max_nodes=1))
+    assert (err.value.what, err.value.cap) == ("coset search (candidates)", 1)
+    a = fiber_sample(action, (7,))
+    assert min(a) >= 0 and action.weight_of(a) == (7,)
+
+
+def test_fiber_sample_bounds_match_enumeration(fx58):
+    S = build_semigroup(fx58)
+    budget = Budget()
+    for chi in [(0, 0), (0, 1), (0, -1), (0, 3)]:
+        fib = enumerate_fiber(S, fx58, chi, 12)
+        for coord in range(fx58.ambient_dim):
+            for bound in range(3):
+                got = fiber_sample(fx58, chi, upper={coord: bound}, degree_limit=12, budget=budget)
+                want = [a for a in fib if a[coord] <= bound]
+                assert (got is None) == (not want)
+                if got is not None:
+                    assert got[coord] <= bound and sum(got) <= 12
+                    assert fx58.weight_of(got) == fx58.reduce_char(chi)
