@@ -5,11 +5,24 @@ Hilbert bases and integer feasibility are computed by a completion solver
 (Contejean-Devie) over exact integers; facets of the cone come from the
 coordinate hyperplanes, which support every facet because the cone is the
 intersection of an orthant with a subspace.
+
+The solver's search is breadth-first by 1-norm over nodes x >= 0 with
+residual v = A x, stepping along e_j when v . c_j < 0 (c_j the columns of
+A).  Each node carries g = (v . c_j)_j instead of v: the step test reads
+g[j] < 0, and the child x + e_j carries g + G[j] with the Gram matrix
+G[i][j] = c_i . c_j.  The solution test g == 0 is exact, because v lies in
+the column space of A, so A^T v = 0 gives v . v = 0.  A node x on the
+frontier is dominated by no solution of smaller norm, nor by one of equal
+norm (that would be x itself, and x is no solution).  So a solution s <= x
++ e_j must have s[j] = x[j] + 1, and the dominance test only looks at the
+solutions indexed under (j, x[j] + 1).  All nodes of one level share their
+norm, so duplicates are looked up within the level only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, ge
 
 from .errors import CappedComputationError, InputError, InvariantViolationError
 from .lattice import (
@@ -37,6 +50,10 @@ class Budget:
     nodes of the coset search.  The memo tables (semigroups, fiber points,
     weight slices) live and die with the budget, so no result depends on
     what an earlier analysis computed or under which caps.
+
+    Two deterministic counters record the completion solver's work:
+    `nodes` sums its candidates over all calls, and `norm_reached` is the
+    deepest breadth-first level it opened.
     """
 
     max_norm: int = 64
@@ -44,6 +61,8 @@ class Budget:
     semigroups: dict = field(default_factory=dict, repr=False)
     fibers: dict = field(default_factory=dict, repr=False)
     slices: dict = field(default_factory=dict, repr=False)
+    nodes: int = 0
+    norm_reached: int = 0
 
 
 @dataclass(frozen=True)
@@ -206,51 +225,57 @@ def minimal_nonneg_solutions(
             return [units[j]] if v == 1 else []
         return units
     cols = [tuple(r[j] for r in rows) for j in range(n)]
-    zero = (0,) * len(rows)
-    frontier: dict[Vec, Vec] = {}
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        frontier[e] = cols[j]
-    seen: set[Vec] = set(frontier)
+    gram = [tuple(_dot(ci, cj) for cj in cols) for ci in cols]
+    zero = (0,) * n
+    # node x -> g = (A x . c_j)_j; the unit vector e_j carries row j of the Gram matrix
+    frontier = {tuple(int(i == j) for i in range(n)): gram[j] for j in range(n)}
+    stop_j, want = stop_on_coord or (0, None)  # want None matches no coordinate
     sols: list[Vec] = []
+    by_coord: dict[tuple[int, int], list[Vec]] = {}  # (j, s[j]) -> solutions s
     nodes = 0
     norm = 1
-    while frontier:
-        if norm > budget.max_norm:
-            raise CappedComputationError("completion solver (degree)", budget.max_norm)
-        new_sols = []
-        expand = []
-        for x, v in frontier.items():
-            if v == zero:
-                new_sols.append(x)
-            else:
-                expand.append((x, v))
-        for s in new_sols:
-            sols.append(s)
-            if stop_on_coord is not None:
-                j, want = stop_on_coord
-                if s[j] == want:
-                    return [s]
-        nxt: dict[Vec, Vec] = {}
-        for x, v in expand:
-            for j in range(n):
-                if _dot(v, cols[j]) < 0:
-                    y = list(x)
-                    y[j] += 1
-                    yt = tuple(y)
-                    if yt in seen:
+    try:
+        while frontier:
+            if norm > budget.max_norm:
+                raise CappedComputationError("completion solver (degree)", budget.max_norm)
+            if norm > budget.norm_reached:
+                budget.norm_reached = norm
+            expand = []
+            for x, g in frontier.items():
+                if g != zero:
+                    expand.append((x, g))
+                    continue
+                if x[stop_j] == want:
+                    return [x]
+                sols.append(x)
+                for j, xj in enumerate(x):
+                    if xj:
+                        by_coord.setdefault((j, xj), []).append(x)
+            # every node of the next level has norm + 1, so a duplicate can
+            # only come from this level: its own dict and pruned set suffice
+            nxt: dict[Vec, Vec] = {}
+            pruned: set[Vec] = set()
+            for x, g in expand:
+                for j, gj in enumerate(g):
+                    if gj >= 0:
                         continue
-                    seen.add(yt)
-                    if any(all(a >= b for a, b in zip(yt, s)) for s in sols):
+                    y = x[:j] + (x[j] + 1,) + x[j + 1 :]
+                    if y in nxt or y in pruned:
+                        continue
+                    bucket = by_coord.get((j, y[j]))
+                    if bucket is not None and any(all(map(ge, y, s)) for s in bucket):
+                        pruned.add(y)
                         continue
                     nodes += 1
                     if nodes > budget.max_nodes:
                         raise CappedComputationError(
                             "completion solver (candidates)", budget.max_nodes
                         )
-                    nxt[yt] = tuple(a + b for a, b in zip(v, cols[j]))
-        frontier = nxt
-        norm += 1
+                    nxt[y] = tuple(map(add, g, gram[j]))
+            frontier = nxt
+            norm += 1
+    finally:
+        budget.nodes += nodes
     if stop_on_coord is not None:
         return []
     return sols
@@ -461,14 +486,79 @@ def fiber_sample(
 
 
 def _weight_slices(action: WeightedAction, degree_cap: int) -> dict[Vec, tuple[Vec, ...]]:
-    """Semigroup elements of degree <= cap, grouped by weight, graded-lex."""
-    groups: dict[Vec, list[Vec]] = {}
-    for a in _nonneg_vectors(action.ambient_dim, degree_cap):
-        if _satisfies(action.congruences, a):
-            groups.setdefault(action.weight_of(a), []).append(a)
-    return {
-        w: tuple(sorted(vs, key=lambda v: (sum(v), v))) for w, vs in groups.items()
-    }
+    """Semigroup elements of degree <= cap, grouped by weight, graded-lex.
+
+    The linear map a -> (raw weight, congruence values) is packed into one
+    integer code in balanced base B, wide enough that no digit overflows
+    under the degree cap, so a step of the walk is one addition.  Each
+    distinct code is decoded once (reduced to a character, checked against
+    the congruences); the walk runs in graded-lex order, so every group
+    fills in sorted.
+    """
+    k = action.char_length
+    forms = [tuple(w[i] for w in action.weights) for i in range(k)]
+    forms += [coeffs for coeffs, _ in action.congruences]
+    base = 2 * degree_cap * max((abs(c) for f in forms for c in f), default=0) + 1
+    steps = [sum(f[j] * base**i for i, f in enumerate(forms)) for j in range(action.ambient_dim)]
+    moduli = [m for _, m in action.congruences]
+    slices: dict[Vec, list[Vec]] = {}
+    by_code: dict[int, list[Vec] | None] = {}  # None: the congruences fail
+    for vecs, codes in _graded_lex_walk(steps, degree_cap):
+        for v, code in zip(vecs, codes):
+            group = by_code.get(code, False)
+            if group is False:
+                values = _balanced_digits(code, base, len(forms))
+                group = None
+                if all(x % m == 0 if m else x == 0 for x, m in zip(values[k:], moduli)):
+                    group = slices.setdefault(action.reduce_char(tuple(values[:k])), [])
+                by_code[code] = group
+            if group is not None:
+                group.append(v)
+    return {chi: tuple(vs) for chi, vs in slices.items()}
+
+
+def _graded_lex_walk(steps: list[int], cap: int):
+    """Yield, for d = 0..cap, the vectors a of Z_0^n of degree d in lex
+    order, with their codes sum(a_j * steps[j]).
+
+    Per-degree tables for the trailing coordinates are built from the last
+    coordinate forwards, so each vector is one tuple concatenation and its
+    code one addition; the full-length vectors are made one degree at a
+    time.
+    """
+    table = [([()], [0])] + [([], [])] * cap
+    for step in reversed(steps[1:]):
+        table = [_prepend_coordinate(step, table, d) for d in range(cap + 1)]
+    if not steps:
+        yield from table
+        return
+    for d in range(cap + 1):
+        yield _prepend_coordinate(steps[0], table, d)
+
+
+def _prepend_coordinate(
+    step: int, table: list[tuple[list[Vec], list[int]]], d: int
+) -> tuple[list[Vec], list[int]]:
+    """Degree-d vectors and codes with one more leading coordinate, lex order."""
+    vecs: list[Vec] = []
+    codes: list[int] = []
+    for h in range(d + 1):
+        head, offset = (h,), h * step
+        tail_vecs, tail_codes = table[d - h]
+        vecs += [head + t for t in tail_vecs]
+        codes += [offset + c for c in tail_codes]
+    return vecs, codes
+
+
+def _balanced_digits(code: int, base: int, count: int) -> list[int]:
+    """The `count` digits of `code` in base `base` (odd), each in
+    [-(base // 2), base // 2], least significant first."""
+    half = base // 2
+    digits = []
+    for _ in range(count):
+        code, r = divmod(code + half, base)
+        digits.append(r - half)
+    return digits
 
 
 def enumerate_fiber(
@@ -488,23 +578,6 @@ def enumerate_fiber(
     if slices is None:
         slices = budget.slices[key] = _weight_slices(action, degree_cap)
     return list(slices.get(action.reduce_char(chi), ()))
-
-
-def _nonneg_vectors(n: int, cap: int):
-    if n == 0:
-        yield ()
-        return
-    for head in range(cap + 1):
-        for tail in _nonneg_vectors(n - 1, cap - head):
-            yield (head,) + tail
-
-
-def _satisfies(congruences, a: Vec) -> bool:
-    for coeffs, m in congruences:
-        v = sum(c * x for c, x in zip(coeffs, a))
-        if (m == 0 and v != 0) or (m != 0 and v % m != 0):
-            return False
-    return True
 
 
 def weight_unit_lattice(

@@ -1,0 +1,161 @@
+"""The completion solver and the weight-slice walk against brute force, and
+the deterministic work counters that pin their searches."""
+
+import dataclasses
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from equitor.cli import analyze_report, parse_input
+from equitor.errors import CappedComputationError
+from equitor.pipeline import Analysis
+from equitor.semigroup import Budget, WeightedAction, _weight_slices, minimal_nonneg_solutions
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+NORM = 9  # brute-force norm bound of the solver property
+
+
+def _vectors(n, cap):
+    return [a for a in itertools.product(range(cap + 1), repeat=n) if sum(a) <= cap]
+
+
+def _minimal_kernel_elements(rows, n, cap):
+    sols = [x for x in _vectors(n, cap) if any(x) and all(sum(r * v for r, v in zip(row, x)) == 0 for row in rows)]
+    return {s for s in sols if not any(t != s and all(a <= b for a, b in zip(t, s)) for t in sols)}
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 2))
+    rows = [tuple(draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(m)]
+    return rows, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(), st.integers(0, 3))
+@example(([(1, -1)], 2), 0)
+@example(([(2, -3, 0)], 3), 1)
+def test_solver_finds_the_minimal_kernel_elements(system, coord):
+    rows, n = system
+    try:
+        sols = minimal_nonneg_solutions(rows, n, Budget(max_norm=NORM - 1))
+    except CappedComputationError:
+        assume(False)  # some minimal solution has norm >= NORM
+    assert len(set(sols)) == len(sols)
+    assert set(sols) == _minimal_kernel_elements(rows, n, NORM)
+    # an early stop returns the first full-run solution with that coordinate
+    j = coord % n
+    for want in (1, 2):
+        first = [s for s in sols if s[j] == want][:1]
+        assert minimal_nonneg_solutions(rows, n, Budget(max_norm=NORM - 1), stop_on_coord=(j, want)) == first
+
+
+def _naive_slices(action, cap):
+    groups = {}
+    for a in _vectors(action.ambient_dim, cap):
+        if all(
+            (v == 0) if m == 0 else (v % m == 0)
+            for coeffs, m in action.congruences
+            for v in [sum(c * x for c, x in zip(coeffs, a))]
+        ):
+            groups.setdefault(action.weight_of(a), []).append(a)
+    return {w: tuple(sorted(vs, key=lambda v: (sum(v), v))) for w, vs in groups.items()}
+
+
+@st.composite
+def actions(draw):
+    n = draw(st.integers(0, 4))
+    free_rank = draw(st.integers(0, 2))
+    torsion = tuple(draw(st.lists(st.integers(2, 4), max_size=1)))
+    k = free_rank + len(torsion)
+    weights = tuple(tuple(draw(st.integers(-3, 3)) for _ in range(k)) for _ in range(n))
+    congruences = tuple(
+        (tuple(draw(st.integers(-3, 3)) for _ in range(n)), draw(st.sampled_from([0, 2, 3])))
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    return WeightedAction(n, free_rank, torsion, weights, congruences)
+
+
+@settings(max_examples=200, deadline=None)
+@given(actions(), st.integers(0, 6))
+@example(WeightedAction(3, 1, (), ((0,), (0,), (0,))), 4)  # all-zero weights: base 1
+@example(WeightedAction(2, 0, (3,), ((1,), (2,)), (((1, -1), 0),)), 5)
+@example(WeightedAction(2, 1, (2,), ((-3, 1), (3, 1)), (((1, 2), 2),)), 0)
+@example(WeightedAction(0, 1, (), ()), 3)
+@example(WeightedAction(1, 1, (3,), ((-2, 2),)), 6)
+def test_weight_slices_match_enumeration(action, cap):
+    assert _weight_slices(action, cap) == _naive_slices(action, cap)
+
+
+def _fixture_analysis(name, **changes):
+    action, options = parse_input(json.loads((FIXTURES / f"{name}.json").read_text()))
+    return Analysis(action, dataclasses.replace(options, **changes))
+
+
+@pytest.mark.parametrize(
+    "name, nodes, norm_reached",
+    [
+        ("example_5_7", 17113, 28),
+        ("example_5_8", 916, 18),
+        ("polynomial_ring", 0, 0),
+        ("scaling_torus", 0, 1),
+    ],
+)
+def test_solver_work_counters_are_pinned(name, nodes, norm_reached):
+    an = _fixture_analysis(name)
+    analyze_report(an)
+    assert (an.budget.nodes, an.budget.norm_reached) == (nodes, norm_reached)
+
+
+def test_candidate_cap_boundary_on_5_8():
+    # the largest completion-solver call of the 5.8 analysis makes 166 candidates
+    analyze_report(_fixture_analysis("example_5_8", max_candidates=166))
+    with pytest.raises(CappedComputationError) as err:
+        analyze_report(_fixture_analysis("example_5_8", max_candidates=165))
+    assert (err.value.what, err.value.cap) == ("completion solver (candidates)", 165)
+
+
+CORPUS_42 = """
+import random
+from corpus import random_action
+from equitor.errors import CappedComputationError
+from equitor.pipeline import Analysis
+rng = random.Random(20260810)
+for _ in range(42):
+    action = random_action(rng)
+try:
+    Analysis(action).verdict
+    print("decided")
+except CappedComputationError as e:
+    print(e.what)
+"""
+
+# A process's own getrusage peak includes the memory of the process it was
+# started from (exec keeps the peak of the image it replaces), so the peak
+# is read as RUSAGE_CHILDREN in a small process between the suite and the run.
+PEAK_OF_CHILD = """
+import resource, subprocess, sys
+print(subprocess.run([sys.executable, "-c", sys.argv[1]], capture_output=True, text=True, check=True).stdout.strip())
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_corpus_42_caps_in_bounded_memory():
+    # the solver keeps one breadth-first level of candidates, not all of them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    out = subprocess.run(
+        [sys.executable, "-c", PEAK_OF_CHILD, CORPUS_42], capture_output=True, text=True, env=env, check=True
+    )
+    what, peak_kb = out.stdout.splitlines()
+    assert what == "completion solver (candidates)"
+    assert int(peak_kb) < 150 * 1024
