@@ -19,7 +19,7 @@ from .errors import (
     InputError,
     InvariantViolationError,
 )
-from .lattice import QuotientGroup, Sublattice, matrix_rank
+from .lattice import QuotientGroup, Sublattice, ceil_frac, matrix_rank
 from .semigroup import (
     AffineSemigroup,
     Budget,
@@ -189,10 +189,6 @@ class ClassGroupData:
         return self.order_of(D) == 1
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 class DivisorContext:
     """Bundles one action with its semigroup pair, classification, and class
     groups; memoizes the per-character computations.  Every solver call
@@ -278,7 +274,7 @@ class DivisorContext:
             fiber = self.cls.fibers[q.index]
             if fiber:
                 coeffs.append(
-                    max(_ceil_div(vals[pi], self.cls.facets[pi].ram_index) for pi in fiber)
+                    max(ceil_frac(vals[pi], self.cls.facets[pi].ram_index) for pi in fiber)
                 )
             else:
                 coeffs.append(0)
@@ -302,10 +298,6 @@ class DivisorContext:
                 raise InvariantViolationError("module divisor depends on the fiber element")
         self._module_div[chi] = D
         return D
-
-    def module_class(self, chi: Vec) -> Vec:
-        """Class of the weight-chi module in Cl(K[S_G])."""
-        return self.cl_RG.class_of(self.module_divisor(chi))
 
     def module_class_order(self, chi: Vec) -> int | None:
         return self.cl_RG.order_of(self.module_divisor(chi))

@@ -10,7 +10,6 @@ representations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd, lcm
 from typing import TYPE_CHECKING
 
@@ -42,13 +41,10 @@ class IntMatrix:
         return len(self.entries[0]) if self.entries else 0
 
     @staticmethod
-    def from_rows(rows, cols: int | None = None) -> "IntMatrix":
+    def from_rows(rows) -> "IntMatrix":
         rows = _as_rows(rows)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise InputError("ragged matrix rows")
-        if not rows and cols is not None:
-            # zero-row matrix still remembers nothing; width is implied by use
-            pass
         return IntMatrix(rows)
 
     @staticmethod
@@ -59,15 +55,8 @@ class IntMatrix:
                 raise InputError("column length does not match ambient rank")
         return IntMatrix(tuple(tuple(c[i] for c in cols) for i in range(ambient)))
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     def col(self, j: int) -> Vec:
         return tuple(row[j] for row in self.entries)
-
-    def columns(self) -> list[Vec]:
-        return [self.col(j) for j in range(self.cols)]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)) if self.entries else ())
@@ -89,62 +78,38 @@ class IntMatrix:
         return all(x == 0 for i, row in enumerate(self.entries) for j, x in enumerate(row) if i != j)
 
 
-def _list_matrix(m: IntMatrix) -> list[list[int]]:
-    return [list(r) for r in m.entries]
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: returns (S, U, V) with U*M*V = S.
 
     S is diagonal with a divisibility chain d1 | d2 | ..., U and V are
-    unimodular.  Total; handles empty matrices.
+    unimodular.  Total; handles empty matrices.  Elimination with a
+    smallest-entry pivot as in H. Cohen, A Course in Computational Algebraic
+    Number Theory, section 2.4.  Only the forward transforms are kept: every
+    caller reads U (coordinates, right-hand sides) or V (kernel columns,
+    particular solutions), never an inverse.
     """
-    S, U, V, _, _ = _snf_full(M)
-    return S, U, V
-
-
-def _snf_full(M: IntMatrix):
-    """SNF with transforms and their inverses: U*M*V = S, Uinv*U = I, V*Vinv = I."""
     nr, nc = M.rows, M.cols
-    A = _list_matrix(M)
-    U = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    Ui = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    V = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-    Vi = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    A = [list(r) for r in M.entries]
+    U = _identity_rows(nr)
+    V = _identity_rows(nc)
 
     def row_op(i, j, q):
-        # row_i -= q * row_j ; update U (left) and Ui (inverse: col op).
+        # row_i -= q * row_j on A and U
         A[i] = [a - q * b for a, b in zip(A[i], A[j])]
         U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-        for r in range(nr):
-            Ui[r][j] += q * Ui[r][i]
 
     def col_op(i, j, q):
-        # col_i -= q * col_j ; update V (right) and Vi (inverse: row op).
-        for r in range(nr):
-            A[r][i] -= q * A[r][j]
-        for r in range(nc):
-            V[r][i] -= q * V[r][j]
-        Vi[j] = [a + q * b for a, b in zip(Vi[j], Vi[i])]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-        for r in range(nr):
-            Ui[r][i], Ui[r][j] = Ui[r][j], Ui[r][i]
+        # col_i -= q * col_j on A and V (both are nc wide)
+        for row in A + V:
+            row[i] -= q * row[j]
 
     def col_swap(i, j):
-        for r in range(nr):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(nc):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
-
-    def row_negate(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-        for r in range(nr):
-            Ui[r][i] = -Ui[r][i]
+        for row in A + V:
+            row[i], row[j] = row[j], row[i]
 
     n = min(nr, nc)
     t = 0
@@ -159,11 +124,13 @@ def _snf_full(M: IntMatrix):
             break
         i, j = piv
         if i != t:
-            row_swap(t, i)
+            A[t], A[i] = A[i], A[t]
+            U[t], U[i] = U[i], U[t]
         if j != t:
             col_swap(t, j)
         if A[t][t] < 0:
-            row_negate(t)
+            A[t] = [-a for a in A[t]]
+            U[t] = [-a for a in U[t]]
         dirty = False
         for i in range(t + 1, nr):
             if A[i][t] != 0:
@@ -194,14 +161,7 @@ def _snf_full(M: IntMatrix):
             continue
         t += 1
 
-    Sm = IntMatrix(tuple(tuple(r) for r in A))
-    return (
-        Sm,
-        IntMatrix(tuple(tuple(r) for r in U)),
-        IntMatrix(tuple(tuple(r) for r in V)),
-        IntMatrix(tuple(tuple(r) for r in Ui)),
-        IntMatrix(tuple(tuple(r) for r in Vi)),
-    )
+    return tuple(IntMatrix(tuple(tuple(r) for r in X)) for X in (A, U, V))
 
 
 def diagonal_of(S: IntMatrix) -> list[int]:
@@ -325,10 +285,6 @@ class Sublattice:
         if self.ambient != other.ambient:
             raise InputError("sublattices live in different ambient ranks")
 
-    @cached_property
-    def is_saturated(self) -> bool:
-        return self == self.saturate()
-
     def sum(self, other: "Sublattice") -> "Sublattice":
         self._check_ambient(other)
         return Sublattice.from_columns(list(self.basis) + list(other.basis), self.ambient)
@@ -349,40 +305,29 @@ class Sublattice:
     def scale(self, m: int) -> "Sublattice":
         return Sublattice.from_columns([tuple(m * x for x in c) for c in self.basis], self.ambient)
 
-    def saturate(self) -> "Sublattice":
-        """Smallest saturated sublattice containing this one: (Q-span) ∩ Z^n."""
-        if not self.basis:
-            return self
-        S, U, V, Ui, Vi = _snf_full(self.basis_matrix())
-        d = diagonal_of(S)
-        r = sum(1 for x in d if x != 0)
-        cols = [Ui.col(i) for i in range(r)]
-        return Sublattice.from_columns(cols, self.ambient)
+
+def _kernel_columns(S: IntMatrix, V: IntMatrix) -> list[Vec]:
+    """Columns of V at the zero (or missing) diagonal entries of S = U*M*V."""
+    d = diagonal_of(S)
+    return [V.col(j) for j in range(V.cols) if j >= len(d) or d[j] == 0]
 
 
 def kernel_basis(M: IntMatrix) -> list[Vec]:
     """Columns spanning {x : M x = 0} over Z."""
-    if M.cols == 0:
-        return []
-    if M.rows == 0:
-        return [tuple(1 if i == j else 0 for i in range(M.cols)) for j in range(M.cols)]
-    S, U, V, Ui, Vi = _snf_full(M)
-    d = diagonal_of(S)
-    out = []
-    for j in range(M.cols):
-        if j >= len(d) or d[j] == 0:
-            out.append(V.col(j))
-    return out
+    S, _U, V = smith_normal_form(M)
+    return _kernel_columns(S, V)
 
 
 def solve_diophantine(M: IntMatrix, b: Vec) -> tuple[Vec, Sublattice] | None:
-    """Solve M x = b over Z: (particular solution, kernel lattice) or None."""
+    """Solve M x = b over Z: (particular solution, kernel lattice) or None.
+
+    One Smith factorization U*M*V = S gives both: y = U b / diag(S) entrywise
+    and x0 = V y, and the kernel is spanned by the columns of V at the zero
+    diagonal entries."""
     if len(b) != M.rows:
         raise InputError("right-hand side length does not match matrix")
-    ker = Sublattice.from_columns(kernel_basis(M), M.cols)
-    if M.cols == 0:
-        return ((), ker) if all(x == 0 for x in b) else None
-    S, U, V, Ui, Vi = _snf_full(M)
+    S, U, V = smith_normal_form(M)
+    ker = Sublattice.from_columns(_kernel_columns(S, V), M.cols)
     c = U.mul_vec(b)
     d = diagonal_of(S)
     y = [0] * M.cols
@@ -395,39 +340,12 @@ def solve_diophantine(M: IntMatrix, b: Vec) -> tuple[Vec, Sublattice] | None:
             if c[i] % di != 0:
                 return None
             y[i] = c[i] // di
-    x0 = V.mul_vec(tuple(y))
-    return x0, ker
+    return V.mul_vec(tuple(y)), ker
 
 
 def matrix_rank(rows: list[Vec]) -> int:
-    """Rank of the row span, exact integer elimination."""
-    work = [list(r) for r in rows if any(r)]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    col = 0
-    while work and col < ncols:
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][col] != 0 and (piv is None or abs(work[i][col]) < abs(work[piv][col])):
-                piv = i
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        # clear the column below using exact row operations
-        again = False
-        for i in range(rank + 1, len(work)):
-            if work[i][col] != 0:
-                q = work[i][col] // work[rank][col]
-                work[i] = [a - q * b for a, b in zip(work[i], work[rank])]
-                if work[i][col] != 0:
-                    again = True
-        if again:
-            continue
-        work = [r for r in work if any(r)]
-        rank += 1
-        col += 1
-    return rank
+    """Rank of the row span: the length of its Hermite basis."""
+    return len(column_hnf(rows, len(rows[0]) if rows else 0))
 
 
 @dataclass(frozen=True)
@@ -445,12 +363,9 @@ class QuotientGroup:
 
     @staticmethod
     def of(lattice: Sublattice) -> "QuotientGroup":
-        n = lattice.ambient
-        if lattice.rank == 0:
-            return QuotientGroup(n, lattice, IntMatrix.identity(n), ())
-        S, U, V, Ui, Vi = _snf_full(lattice.basis_matrix())
+        S, U, _V = smith_normal_form(lattice.basis_matrix())
         d = tuple(abs(x) for x in diagonal_of(S))
-        return QuotientGroup(n, lattice, U, d)
+        return QuotientGroup(lattice.ambient, lattice, U, d)
 
     @property
     def transform(self) -> IntMatrix:
@@ -587,34 +502,30 @@ def rational_shifted_cone_nonempty(x0: Vec, cols: list[Vec]) -> bool:
     return all(const >= 0 for _coeff, const in cons)
 
 
-def _fm_variable_bounds(
-    cons: set[tuple[Vec, int]], r: int, keep: int
-) -> tuple[int | None, int | None] | None:
-    """Integer bounds of variable `keep` over {y : coeff . y + const >= 0}.
+def _integer_interval(rows) -> tuple[int | None, int | None] | None:
+    """Integer range of t over {t : c*t + k >= 0 for every (c, k) in rows}.
 
     Returns (lo, hi) with None for an unbounded side, or None when the
-    rational region is empty.
+    range is empty.
     """
     lo: int | None = None
     hi: int | None = None
-    for coeff, const in _fm_eliminate(cons, r, keep):
-        c = coeff[keep]
+    for c, k in rows:
         if c == 0:
-            if const < 0:
+            if k < 0:
                 return None
         elif c > 0:
-            # y >= -const/c: integer lower bound
-            b = _ceil_frac(-const, c)
+            b = ceil_frac(-k, c)
             lo = b if lo is None else max(lo, b)
         else:
-            b = _floor_frac(const, -c)
+            b = _floor_frac(k, -c)
             hi = b if hi is None else min(hi, b)
     if lo is not None and hi is not None and lo > hi:
         return None
     return lo, hi
 
 
-def _ceil_frac(num: int, den: int) -> int:
+def ceil_frac(num: int, den: int) -> int:
     if den <= 0:
         raise InvariantViolationError("rounding a fraction with a nonpositive denominator")
     return -((-num) // den)
@@ -628,26 +539,11 @@ def _floor_frac(num: int, den: int) -> int:
 
 def coset_interval_point(x0: Vec, col: Vec) -> Vec | None:
     """Integer t with x0 + t*col >= 0 (rank-one coset), or None; exact."""
-    lo: int | None = None
-    hi: int | None = None
-    for a, c in zip(x0, col):
-        if c == 0:
-            if a < 0:
-                return None
-        elif c > 0:
-            b = _ceil_frac(-a, c)
-            lo = b if lo is None else max(lo, b)
-        else:
-            b = _floor_frac(a, -c)
-            hi = b if hi is None else min(hi, b)
-    if lo is None:
-        t = hi if hi is not None else 0
-    elif hi is None:
-        t = lo
-    elif lo <= hi:
-        t = lo
-    else:
+    b = _integer_interval(zip(col, x0))
+    if b is None:
         return None
+    lo, hi = b
+    t = lo if lo is not None else hi if hi is not None else 0
     return tuple(a + t * c for a, c in zip(x0, col))
 
 
@@ -672,14 +568,12 @@ def coset_orthant_search(x0: Vec, cols: list[Vec], budget: Budget) -> tuple[str,
     cons = _cone_constraints(x0, cols)
     ranges = []
     for j in range(r):
-        b = _fm_variable_bounds(cons, r, j)
+        b = _integer_interval((coeff[j], const) for coeff, const in _fm_eliminate(cons, r, j))
         if b is None:
             return EMPTY, None
         lo, hi = b
         if lo is None or hi is None:
             return UNBOUNDED, None
-        if lo > hi:
-            return EMPTY, None
         ranges.append((lo, hi))
     order = sorted(range(r), key=lambda j: ranges[j][1] - ranges[j][0])
     left = [budget.max_nodes]

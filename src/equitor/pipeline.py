@@ -92,23 +92,6 @@ class Verdict:
     oracle_agrees: bool
 
 
-def stability_reduce(
-    action: WeightedAction, options: Options = Options()
-) -> tuple[WeightedAction, bool]:
-    """Quotient by the kernel of the unit weights; returns (action, was stable)."""
-    an = Analysis(action, options)
-    return an.action, an.input_stable
-
-
-def check_equidimensional(action: WeightedAction, options: Options = Options()) -> Verdict:
-    """Full divisor-theoretic verdict with the null-fiber cross-check."""
-    return Analysis(action, options).verdict
-
-
-def corollary_13_check(action: WeightedAction, options: Options = Options()) -> bool | None:
-    return Analysis(action, options).corollary_consistency()
-
-
 def prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -248,7 +231,9 @@ class Analysis:
         coprime, refl_part = t_factorization(t, refl_order)
         if gcd(coprime, refl_order) != 1:
             raise InvariantViolationError("factorization leaves a common prime")
-        F = self._stabilized_torsion_part(refl_part)
+        # the stabilized torsion part: the largest subgroup of the reflection
+        # group whose restriction is supported on the primes of refl_part
+        F = self._primary_part(refl_part, self.reflection)
         H = tor_subgroup(coprime, self.kernel).join(tor_subgroup(refl_part, F))
         ctx_h = self.context_for(H)
         act_h = ctx_h.action
@@ -257,7 +242,6 @@ class Analysis:
             act_h,
             ctx_h.ht1_facets(),
             ineffective_kernel(ctx_h.S, act_h),
-            non_principal_only=True,
             principal_flags=ctx_h.obstructing_facet_flags(),
         )
         if not obs.contains(self.kernel):
@@ -273,11 +257,6 @@ class Analysis:
             obstruction=obs,
             restriction=restr,
         )
-
-    def _stabilized_torsion_part(self, refl_part: int) -> SubgroupOfG:
-        """Largest subgroup of the reflection group whose restriction is
-        supported on the primes of the reflection part of the exponent."""
-        return self._primary_part(refl_part, self.reflection)
 
     def _primary_part(self, m: int, subgroup: SubgroupOfG) -> SubgroupOfG:
         """Elements of the subgroup whose restriction order divides a power

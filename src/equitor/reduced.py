@@ -89,16 +89,11 @@ class ReducedClassData:
     sweep_stable: bool
     exact: bool  # envelope certificate succeeded
 
-    @property
-    def exponent(self) -> int | None:
-        return self.divisor_exponent
-
 
 def reduced_class_groups(
     ctx: DivisorContext,
     qualified: QualifiedLattice,
     sweep_bound: int = 2,
-    stability_pass: bool = True,
 ) -> ReducedClassData:
     """Sweep the qualified lattice and assemble both reduced class groups."""
     act = ctx.action
@@ -134,7 +129,7 @@ def reduced_class_groups(
     exact = _envelope_certificate(ctx, basis, div_cols)
 
     stable = True
-    if stability_pass and not exact:
+    if not exact:
         wide = sweep_chars(act, basis, sweep_bound + 1)
         wide_cols = []
         for chi in wide:

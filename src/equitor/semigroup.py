@@ -22,6 +22,7 @@ norm, so duplicates are looked up within the level only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from operator import add, ge
 
 from .errors import CappedComputationError, InputError, InvariantViolationError
@@ -189,9 +190,6 @@ class AffineSemigroup:
 
     def contains(self, v: Vec) -> bool:
         return all(x >= 0 for x in v) and self.lattice.contains(v)
-
-    def degree(self, v: Vec) -> int:
-        return sum(v)
 
     @property
     def facet_count(self) -> int:
@@ -407,7 +405,7 @@ def _facets_from_basis(
         vals = [col[coord] for col in lattice.basis]
         scale = 0
         for v in vals:
-            scale = _gcd(scale, v)
+            scale = gcd(scale, v)
         if scale <= 0:
             raise InvariantViolationError("facet coordinate vanishes on the lattice")
         facets.append(
@@ -420,17 +418,6 @@ def _facets_from_basis(
             )
         )
     return tuple(facets)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def weight_fiber_congruences(action: WeightedAction) -> tuple[tuple[Vec, int], ...]:
-    """The weight map as additional congruence rows (for fibers and quotients)."""
-    return tuple(action.weight_rows())
 
 
 def fiber_rhs(action: WeightedAction, chi: Vec) -> dict[int, int]:
@@ -469,7 +456,7 @@ def fiber_sample(
         s = len(upper_items) + (degree_limit is not None)
         congs = [
             (tuple(coeffs) + (0,) * s, m)
-            for coeffs, m in action.congruences + weight_fiber_congruences(action)
+            for coeffs, m in (*action.congruences, *action.weight_rows())
         ]
         rhs = fiber_rhs(action, chi)
         bounded = [((coord,), val) for coord, val in equal_items]

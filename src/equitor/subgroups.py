@@ -112,9 +112,6 @@ class SubgroupOfG:
     def join(self, other: "SubgroupOfG") -> "SubgroupOfG":
         return SubgroupOfG(self.annihilator.intersect(other.annihilator))
 
-    def meet(self, other: "SubgroupOfG") -> "SubgroupOfG":
-        return SubgroupOfG(self.annihilator.sum(other.annihilator))
-
     def is_whole_group(self) -> bool:
         return self.annihilator == SubgroupOfA.trivial(self.action)
 
@@ -233,11 +230,6 @@ def invariant_action(action: WeightedAction) -> WeightedAction:
     return quotient_action(action, whole_group(action))
 
 
-def weight_unit_group(S: AffineSemigroup, action: WeightedAction) -> SubgroupOfA:
-    """Subgroup of characters realized with both signs."""
-    return SubgroupOfA(action, weight_unit_lattice(S, action))
-
-
 def is_stable(S: AffineSemigroup, action: WeightedAction, budget: Budget | None = None) -> bool:
     units = weight_unit_lattice(S, action, budget)
     return all(units.contains(action.raw_weight(h)) for h in S.hilbert_basis)
@@ -248,22 +240,19 @@ def pseudo_reflection_group(
     action: WeightedAction,
     ht1_facets: list[FacetPrime],
     kernel: SubgroupOfG,
-    non_principal_only: bool = False,
     principal_flags: dict[int, bool] | None = None,
 ) -> SubgroupOfG:
-    """Join of the inertia subgroups at height-one-over-height-one facets.
+    """Join of the inertia subgroups at height-one-over-height-one facets,
+    always joined with the ineffective kernel.
 
-    With `non_principal_only`, only facets whose divisor class is nonzero
-    qualify (flags supplied by the divisor module) and the ineffective
-    kernel is always joined in.
+    With `principal_flags` (supplied by the divisor module), facets flagged
+    principal are skipped: only facets whose divisor class is nonzero
+    qualify.
     """
     out = kernel
     for P in ht1_facets:
-        if non_principal_only:
-            if principal_flags is None:
-                raise InputError("non-principal variant needs principality flags")
-            if principal_flags[P.index]:
-                continue
+        if principal_flags is not None and principal_flags[P.index]:
+            continue
         out = out.join(inertia_subgroup(S, action, P))
     return out
 

@@ -38,7 +38,12 @@ def report(num: int, elapsed: float, text: str):
 
 @pytest.fixture(scope="module")
 def corpus_results():
-    """Shared corpus sweep for criteria 5 and 6."""
+    """Shared corpus sweep for criteria 5 and 6.
+
+    Keeps per instance only what the two criteria read: the action, the
+    verdict, the corollary check where the verdict is equidimensional, and
+    the obstruction's (exponent, restriction order).  Keeping the analyses
+    would hold every budget's memo tables for the whole module."""
     rng = random.Random(20260810)
     results = []
     started = time.monotonic()
@@ -49,9 +54,12 @@ def corpus_results():
         try:
             an = Analysis(act)
             v = an.verdict
-            results.append((act, an, v))
         except CappedComputationError:
             continue
+        cor = an.corollary_consistency() if v.equidimensional == "yes" else None
+        obs = an.obstruction
+        summary = None if obs is None else (obs.exponent, obs.restriction.order)
+        results.append((act, v, cor, summary))
     elapsed = time.monotonic() - started
     return results, elapsed, attempts
 
@@ -163,7 +171,7 @@ def test_acceptance_5_corpus_oracle_equivalence(corpus_results):
     results, gen_elapsed, attempts = corpus_results
     t0 = time.monotonic()
     decided = 0
-    for act, an, v in results:
+    for act, v, _cor, _obs in results:
         if v.equidimensional == "unknown-capped":
             continue
         assert v.oracle_agrees, act
@@ -195,15 +203,15 @@ def test_acceptance_6_obstruction_consistency(corpus_results):
         obs = an.obstruction
         assert (obs.exponent ** 8) % obs.restriction.order == 0
         checked_div += 1
-    for act, an, v in results:
+    for act, v, cor, obs in results:
         if v.equidimensional == "yes":
-            if an.corollary_consistency() is not True:
+            if cor is not True:
                 cor_failures.append(act)
             checked_cor += 1
-        obs = an.obstruction
-        if obs is not None and obs.restriction.order > 1:
-            if (obs.exponent ** 8) % obs.restriction.order != 0:
-                div_failures.append((act, obs.exponent, obs.restriction.order))
+        if obs is not None and obs[1] > 1:
+            t, order = obs
+            if (t ** 8) % order != 0:
+                div_failures.append((act, t, order))
             checked_div += 1
     assert checked_cor >= 50
     assert not cor_failures, cor_failures

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from equitor import lattice
 from equitor.errors import CappedComputationError, InputError
 from equitor.lattice import (
     FM_MAX_ROWS,
@@ -102,6 +103,34 @@ def test_solve_diophantine_random_against_kernel():
         assert ker.contains(diff)
 
 
+def test_solve_diophantine_factors_once(monkeypatch):
+    """One Smith factorization per solve, whose V also gives the kernel."""
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return smith_normal_form(M)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counted)
+    rng = random.Random(13)
+    shapes = [(0, 0), (2, 0), (1, 3), (3, 1)]
+    shapes += [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(30)]
+    for rows, cols in shapes:
+        M = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
+        x = tuple(rng.randint(-3, 3) for _ in range(cols))
+        calls.clear()
+        sol = solve_diophantine(M, M.mul_vec(x))
+        assert len(calls) == 1
+        x0, ker = sol
+        assert M.mul_vec(x0) == M.mul_vec(x)
+        assert ker == Sublattice.from_columns(kernel_basis(M), M.cols)
+        b = tuple(rng.randint(-3, 3) for _ in range(rows))
+        calls.clear()
+        sol = solve_diophantine(M, b)
+        assert len(calls) == 1
+        assert sol is None or M.mul_vec(sol[0]) == b
+
+
 def test_class_order_example_mod3():
     # facet class in Z^3 / {m : m1+m2+m3 = 0 mod 3} has order 3
     L = Sublattice.from_columns([(1, -1, 0), (0, 1, -1), (3, 0, 0)], 3)
@@ -183,17 +212,9 @@ def test_intersect_against_membership():
             assert both.contains(v) == (a.contains(v) and b.contains(v))
 
 
-def test_saturation():
-    L = Sublattice.from_columns([(2, 0), (0, 2)], 2)
-    assert L.saturate() == Sublattice.full(2)
-    assert not L.is_saturated
-    D = Sublattice.from_columns([(2, 2)], 2)
-    assert D.saturate() == Sublattice.from_columns([(1, 1)], 2)
-    assert Sublattice.from_columns([(1, 1)], 2).is_saturated
-
-
 def test_kernel_basis_shapes():
-    assert kernel_basis(IntMatrix.from_rows([[1, 1]])) == [(1, -1)] or True
+    ker = kernel_basis(IntMatrix.from_rows([[1, 1]]))
+    assert Sublattice.from_columns(ker, 2) == Sublattice.from_columns([(1, -1)], 2)
     M = IntMatrix.from_rows([[1, 1, 1]])
     ker = kernel_basis(M)
     assert len(ker) == 2

@@ -7,9 +7,6 @@ from equitor.oracles import INCONCLUSIVE, YES, bounded_freeness_oracle
 from equitor.pipeline import (
     Analysis,
     Options,
-    check_equidimensional,
-    corollary_13_check,
-    stability_reduce,
     t_factorization,
 )
 from equitor.semigroup import WeightedAction, build_semigroup
@@ -49,14 +46,17 @@ def test_t_factorization():
 
 
 def test_stability_reduce():
-    act, stable = stability_reduce(action_5_8())
+    an = Analysis(action_5_8())
+    act, stable = an.action, an.input_stable
     assert stable and act.congruences == action_5_8().congruences
-    red, stable = stability_reduce(scaling_action())
+    an = Analysis(scaling_action())
+    red, stable = an.action, an.input_stable
     assert not stable
     S = build_semigroup(red)
     assert S.hilbert_basis == ()  # reduced to the point
     # idempotent
-    red2, stable2 = stability_reduce(red)
+    an = Analysis(red)
+    red2, stable2 = an.action, an.input_stable
     assert stable2 and build_semigroup(red2).hilbert_basis == ()
 
 
@@ -108,7 +108,7 @@ def test_factorial_fixture_obstruction():
 
 
 def test_trivial_group_verdicts():
-    v = check_equidimensional(polynomial_action(3))
+    v = Analysis(polynomial_action(3)).verdict
     assert v.equidimensional == "yes" and v.cofree == "yes" and v.oracle_agrees
 
 
@@ -130,9 +130,9 @@ def test_main_theorem_all_true_on_fixtures():
         assert set(conds.values()) == {True}
 
 
-def test_corollary_13_check_wrapper():
-    assert corollary_13_check(action_5_7()) is True
-    assert corollary_13_check(scaling_nonequidim_action()) is None
+def test_corollary_13_check():
+    assert Analysis(action_5_7()).corollary_consistency() is True
+    assert Analysis(scaling_nonequidim_action()).corollary_consistency() is None
 
 
 def test_theorem_divisibility_on_fixtures():
@@ -189,7 +189,6 @@ def test_reflection_quotient_action_is_cofree():
                 act_n,
                 ctx_n.ht1_facets(),
                 ineffective_kernel(ctx_n.S, act_n),
-                non_principal_only=True,
                 principal_flags=ctx_n.obstructing_facet_flags(),
             )
             join = N.join(an.reflection)

@@ -267,11 +267,11 @@ def test_reflection_of_quotient_is_product(fx57, fx58):
 
 def test_derived_subgroups():
     from equitor.divisors import DivisorContext, no_blowing_up_check
-    from equitor.subgroups import derived_subgroups, weight_unit_group
+    from equitor.subgroups import derived_subgroups
 
     for act in (action_5_7(), action_5_8()):
         ctx = DivisorContext(act)
-        units = weight_unit_group(ctx.S, act)
+        units = SubgroupOfA(act, weight_unit_lattice(ctx.S, act))
         assert no_blowing_up_check(ctx.S, ctx.S_G, ctx.cls)
         # both fixtures have trivial reflection restriction, so the qualified
         # lattice is the full unit-weight group
@@ -286,7 +286,7 @@ def test_derived_subgroups():
 
     act = polynomial_action(2)
     ctx = DivisorContext(act)
-    units = weight_unit_group(ctx.S, act)
+    units = SubgroupOfA(act, weight_unit_lattice(ctx.S, act))
     got = derived_subgroups(ctx.S, act, units, units)
     for H in got.values():
         assert H.is_whole_group()  # the trivial group's only subgroup

@@ -1,5 +1,6 @@
-"""Source-level guarantees: no state that outlives one analysis, and no
-invariant check that `python -O` can strip."""
+"""Source-level guarantees: no state that outlives one analysis, no
+invariant check that `python -O` can strip, and no name the engine never
+calls unless it is a declared entry point or reference route."""
 
 import ast
 import subprocess
@@ -59,6 +60,64 @@ def test_no_module_level_dicts():
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and is_dict(node.value)
     ]
     assert found == []
+
+
+# Functions, methods and classes that no code in src/equitor calls, each
+# with the reason it stays.  Every other name must have an engine caller.
+KEPT_WITHOUT_ENGINE_CALLER = {
+    # reference routes: independent computations the tests compare against
+    "paired_unit_lattice": "paired-system route to weight_unit_lattice",
+    "brute_force_class_order": "enumeration route to QuotientGroup.order_of",
+    "restrict_action_to_subgroup": "runs the oracles on the action of a subgroup",
+    "min_free_multiple": "search route to the freeness exponent",
+    "main_theorem_conditions": "the paper's equivalent conditions, each evaluated on its own",
+    "t_consistency_check": "wide-sweep route to certified_exponent",
+    "corollary_consistency": "cofree iff the obstruction restricts trivially (acceptance 6)",
+    "derived_subgroups": "kernels of the unit and qualified weight groups, checked for inclusion",
+    # checks on engine results that the tests state through the public API
+    "class_order": "exact class order that acceptance 7 sets against the brute force",
+    "principal_facet_flags": "upstairs principality, set against obstructing_facet_flags",
+    "sub": "DivisorVector difference behind the character-divisor identities",
+    "mul": "U*M*V = S check of smith_normal_form",
+    "is_diagonal": "diagonal check of smith_normal_form",
+    "is_whole_group": "subgroup predicate of the test assertions",
+    "is_trivial": "subgroup predicate of the test assertions",
+    "trivial_subgroup": "the trivial subgroup, counterpart of whole_group",
+}
+
+
+def _uncalled_names():
+    """Definitions whose name no Name or attribute in src/equitor mentions
+    outside the definition itself, as "module:line:name".  Matching is by
+    bare name, so a method counts as called when any attribute of that name
+    is read anywhere."""
+    trees = _modules()
+    mentions: dict[str, list[ast.AST]] = {}
+    for _name, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                mentions.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                mentions.setdefault(node.attr, []).append(node)
+    found = []
+    for name, tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if all(id(m) in inside for m in mentions.get(node.name, [])):
+                found.append(f"{name}:{node.lineno}:{node.name}")
+    return found
+
+
+def test_every_name_has_an_engine_caller():
+    uncalled = _uncalled_names()
+    assert [e for e in uncalled if e.rsplit(":", 1)[1] not in KEPT_WITHOUT_ENGINE_CALLER] == []
+    # the set names nothing that has since gained a caller or been deleted
+    kept = {e.rsplit(":", 1)[1] for e in uncalled}
+    assert sorted(set(KEPT_WITHOUT_ENGINE_CALLER) - kept) == []
 
 
 @pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.stem)
