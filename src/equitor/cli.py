@@ -222,7 +222,7 @@ def run(command: str, doc, flags) -> dict:
                 "free": free,
                 "witness": list(wit) if wit is not None else None,
                 "oracle": bounded_freeness_oracle(
-                    an.ctx.S, an.ctx.S_G, an.action, chi, options.degree_cap, budget=an.budget
+                    an.ctx.S_G, an.action, chi, options.degree_cap, budget=an.budget
                 ),
             }
         )

@@ -12,6 +12,7 @@ collapse to sums over facets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 
 from .errors import (
@@ -64,6 +65,12 @@ class FacetClassification:
     @property
     def all_invariant_facets_covered(self) -> bool:
         return all(len(f) > 0 for f in self.fibers)
+
+    @property
+    def no_blowing_up(self) -> bool:
+        """No codimension jump at height one: every invariant facet is covered
+        and no facet of S_X contracts to height two or more."""
+        return self.all_invariant_facets_covered and not self.ht2plus
 
 
 def classify_facets(S_X: AffineSemigroup, S_G: AffineSemigroup) -> FacetClassification:
@@ -118,14 +125,6 @@ def classify_facets(S_X: AffineSemigroup, S_G: AffineSemigroup) -> FacetClassifi
         ht2plus=tuple(ht2plus),
         ramification_lattice=ram,
     )
-
-
-def no_blowing_up_check(
-    S_X: AffineSemigroup, S_G: AffineSemigroup, cls: FacetClassification
-) -> bool:
-    """No codimension jump at height one: every invariant facet is covered and
-    no facet of S_X contracts to height two or more."""
-    return cls.all_invariant_facets_covered and not cls.ht2plus
 
 
 @dataclass(frozen=True)
@@ -336,6 +335,8 @@ class DivisorContext:
         return result
 
     def _strict_bound_witness(self, chi: Vec, degree_limit: int) -> Vec | None:
+        """A weight-chi element with v_P < e(P, q) at one chosen facet P over
+        each invariant facet q, trying the choices in product order."""
         choices: list[list[tuple[int, int]]] = []
         for q in self.S_G.facets:
             fiber = self.cls.fibers[q.index]
@@ -346,24 +347,13 @@ class DivisorContext:
                 P = self.S.facets[pi]
                 opts.append((P.coord, P.scale * (self.cls.facets[pi].ram_index - 1)))
             choices.append(opts)
-        return self._search_bound_combos(chi, choices, 0, {}, degree_limit)
-
-    def _search_bound_combos(self, chi, choices, k, bounds, degree_limit):
-        if k == len(choices):
-            return fiber_sample(
+        for combo in product(*choices):
+            bounds: dict[int, int] = {}
+            for coord, bound in combo:
+                bounds[coord] = min(bound, bounds.get(coord, bound))
+            got = fiber_sample(
                 self.action, chi, upper=bounds, degree_limit=degree_limit, budget=self.budget
             )
-        for coord, bound in choices[k]:
-            if coord in bounds:
-                if bound < bounds[coord]:
-                    nxt = dict(bounds)
-                    nxt[coord] = bound
-                else:
-                    nxt = bounds
-            else:
-                nxt = dict(bounds)
-                nxt[coord] = bound
-            got = self._search_bound_combos(chi, choices, k + 1, nxt, degree_limit)
             if got is not None:
                 return got
         return None
@@ -378,7 +368,7 @@ class DivisorContext:
         """
         chi = self.action.reduce_char(chi)
         a0 = self.fiber_element(chi)
-        slice_ = enumerate_fiber(self.S, self.action, chi, sum(a0), budget=self.budget)
+        slice_ = enumerate_fiber(self.action, chi, sum(a0), budget=self.budget)
         dmin = sum(slice_[0])
         mins = [b for b in slice_ if sum(b) == dmin]
         if len(mins) > 1:

@@ -264,18 +264,27 @@ class Sublattice:
     def basis_matrix(self) -> IntMatrix:
         return IntMatrix.from_cols(list(self.basis), self.ambient)
 
-    def contains(self, v: Vec) -> bool:
+    def coordinates(self, v: Vec) -> Vec | None:
+        """Coefficients of v in the basis, or None when v is not in the lattice.
+
+        Back-substitution along the pivots: each basis column vanishes above
+        its pivot row, and the pivot rows increase."""
         if len(v) != self.ambient:
             raise InputError("vector length does not match ambient rank")
         v = list(v)
-        pivots = [next(r for r in range(self.ambient) if col[r]) for col in self.basis]
-        for col, p in zip(self.basis, pivots):
+        coeffs = []
+        for col in self.basis:
+            p = next(r for r in range(self.ambient) if col[r])
             if v[p] % col[p] != 0:
-                return False
+                return None
             q = v[p] // col[p]
-            for r in range(self.ambient):
+            coeffs.append(q)
+            for r in range(p, self.ambient):
                 v[r] -= q * col[r]
-        return not any(v)
+        return None if any(v) else tuple(coeffs)
+
+    def contains(self, v: Vec) -> bool:
+        return self.coordinates(v) is not None
 
     def contains_lattice(self, other: "Sublattice") -> bool:
         self._check_ambient(other)
@@ -318,16 +327,15 @@ def kernel_basis(M: IntMatrix) -> list[Vec]:
     return _kernel_columns(S, V)
 
 
-def solve_diophantine(M: IntMatrix, b: Vec) -> tuple[Vec, Sublattice] | None:
-    """Solve M x = b over Z: (particular solution, kernel lattice) or None.
+def solve_diophantine(M: IntMatrix, b: Vec) -> tuple[Vec, list[Vec]] | None:
+    """Solve M x = b over Z: (particular solution, kernel columns) or None.
 
     One Smith factorization U*M*V = S gives both: y = U b / diag(S) entrywise
     and x0 = V y, and the kernel is spanned by the columns of V at the zero
-    diagonal entries."""
+    diagonal entries (a basis, not in Hermite form)."""
     if len(b) != M.rows:
         raise InputError("right-hand side length does not match matrix")
     S, U, V = smith_normal_form(M)
-    ker = Sublattice.from_columns(_kernel_columns(S, V), M.cols)
     c = U.mul_vec(b)
     d = diagonal_of(S)
     y = [0] * M.cols
@@ -340,7 +348,7 @@ def solve_diophantine(M: IntMatrix, b: Vec) -> tuple[Vec, Sublattice] | None:
             if c[i] % di != 0:
                 return None
             y[i] = c[i] // di
-    return V.mul_vec(tuple(y)), ker
+    return V.mul_vec(tuple(y)), _kernel_columns(S, V)
 
 
 def matrix_rank(rows: list[Vec]) -> int:
@@ -383,22 +391,6 @@ class QuotientGroup:
         tor = [d for d in self._diag if d > 1]
         free = self.ambient - len(self._diag)
         return tuple(tor) + (0,) * free
-
-    @property
-    def order(self) -> int | None:
-        """Group order; None means infinite."""
-        if self.ambient > len(self._diag):
-            return None
-        out = 1
-        for d in self._diag:
-            out *= d
-        return out
-
-    @property
-    def exponent(self) -> int | None:
-        if self.ambient > len(self._diag):
-            return None
-        return lcm(*self._diag) if self._diag else 1
 
     def canonical(self, v: Vec) -> Vec:
         """Canonical coordinates of v + L in the invariant-factor basis."""
@@ -447,17 +439,11 @@ def quotient_structure(generators: list[Vec], denominator: Sublattice) -> tuple[
     num = Sublattice.from_columns(list(generators) + list(denominator.basis), n)
     if num.rank == 0:
         return ()
-    nmat = num.basis_matrix()
-    # express denominator in the numerator basis: D = N * X
-    xcols = []
-    for c in denominator.basis:
-        sol = solve_diophantine(nmat, c)
-        if sol is None:
-            raise InvariantViolationError("denominator not inside numerator lattice")
-        xcols.append(sol[0])
-    inner = Sublattice.from_columns(xcols, num.rank)
-    q = QuotientGroup.of(inner)
-    return q.invariant_factors
+    # express the denominator in the numerator basis: D = N * X
+    xcols = [num.coordinates(c) for c in denominator.basis]
+    if None in xcols:
+        raise InvariantViolationError("denominator not inside numerator lattice")
+    return QuotientGroup.of(Sublattice.from_columns(xcols, num.rank)).invariant_factors
 
 
 FM_MAX_ROWS = 20000
@@ -497,7 +483,10 @@ def _fm_eliminate(
 
 
 def rational_shifted_cone_nonempty(x0: Vec, cols: list[Vec]) -> bool:
-    """Is {y rational : x0 + cols*y >= 0 componentwise} nonempty?"""
+    """Is {y rational : x0 + cols*y >= 0 componentwise} nonempty?
+
+    Reference route for the emptiness that `coset_orthant_search` detects in
+    its first projection: the full elimination leaves only constant rows."""
     cons = _fm_eliminate(_cone_constraints(x0, cols), len(cols))
     return all(const >= 0 for _coeff, const in cons)
 
@@ -537,16 +526,6 @@ def _floor_frac(num: int, den: int) -> int:
     return num // den
 
 
-def coset_interval_point(x0: Vec, col: Vec) -> Vec | None:
-    """Integer t with x0 + t*col >= 0 (rank-one coset), or None; exact."""
-    b = _integer_interval(zip(col, x0))
-    if b is None:
-        return None
-    lo, hi = b
-    t = lo if lo is not None else hi if hi is not None else 0
-    return tuple(a + t * c for a, c in zip(x0, col))
-
-
 FOUND = "found"
 EMPTY = "empty"
 CAPPED = "capped"
@@ -557,9 +536,12 @@ def coset_orthant_search(x0: Vec, cols: list[Vec], budget: Budget) -> tuple[str,
     """Search {y integer : x0 + cols*y >= 0} by exact interval propagation.
 
     Returns ("found", point in the ambient), ("empty", None) when the region
-    is a polytope exhausted without a point (a complete decision),
+    is empty or a polytope exhausted without a point (a complete decision),
     ("unbounded", None) when some variable range is infinite (the search
     does not apply), or ("capped", None) when `budget.max_nodes` nodes ran out.
+    Fourier-Motzkin projection is exact over Q, so an empty region already
+    shows in the first projection.  With one column the projection is the
+    region itself, and its lower end (else its upper end, else 0) is the point.
     """
     n = len(x0)
     r = len(cols)
@@ -572,6 +554,9 @@ def coset_orthant_search(x0: Vec, cols: list[Vec], budget: Budget) -> tuple[str,
         if b is None:
             return EMPTY, None
         lo, hi = b
+        if r == 1:
+            t = lo if lo is not None else hi if hi is not None else 0
+            return FOUND, tuple(a + t * c for a, c in zip(x0, cols[0]))
         if lo is None or hi is None:
             return UNBOUNDED, None
         ranges.append((lo, hi))

@@ -82,7 +82,6 @@ def _face_has_invariants(zero_coords: frozenset[int], S_G: AffineSemigroup) -> b
 
 
 def bounded_freeness_oracle(
-    S_X: AffineSemigroup,
     S_G: AffineSemigroup,
     action: WeightedAction,
     chi: Vec,
@@ -95,7 +94,7 @@ def bounded_freeness_oracle(
     with its translate of the invariant semigroup; a violation inside the
     slice is conclusive, agreement is a verdict only at this cap.
     """
-    fiber = enumerate_fiber(S_X, action, chi, degree_cap, budget=budget)
+    fiber = enumerate_fiber(action, chi, degree_cap, budget=budget)
     if not fiber:
         return INCONCLUSIVE
     a = fiber[0]

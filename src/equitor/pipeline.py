@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .divisors import DivisorContext, no_blowing_up_check
+from .divisors import DivisorContext
 from .errors import InputError, InvariantViolationError
 from .oracles import (
     INCONCLUSIVE,
@@ -225,7 +225,7 @@ class Analysis:
         t, _prov = self.exponent_with_provenance
         if t is None:
             return None
-        if not no_blowing_up_check(self.ctx.S, self.ctx.S_G, self.ctx.cls):
+        if not self.ctx.cls.no_blowing_up:
             return None
         refl_order = self.reflection_restriction.order
         coprime, refl_part = t_factorization(t, refl_order)
@@ -278,7 +278,7 @@ class Analysis:
     def decide_cofree(self, ctx: DivisorContext) -> CofreeDecision:
         """Character-by-character freeness over a bounded weight sweep, with
         the bounded-degree oracle required to concur on every character."""
-        if not no_blowing_up_check(ctx.S, ctx.S_G, ctx.cls):
+        if not ctx.cls.no_blowing_up:
             deep = ctx.cls.ht2plus[0] if ctx.cls.ht2plus else None
             return CofreeDecision(False, 0, None, deep, 0)
         act = ctx.action
@@ -296,7 +296,7 @@ class Analysis:
         for chi in sorted(chars):
             free, _wit = ctx.free_test(chi)
             verdict = bounded_freeness_oracle(
-                ctx.S, ctx.S_G, act, chi, self.options.degree_cap, budget=ctx.budget
+                ctx.S_G, act, chi, self.options.degree_cap, budget=ctx.budget
             )
             if verdict != INCONCLUSIVE:
                 checked += 1
@@ -337,7 +337,7 @@ class Analysis:
             "exponent": t,
             "exponent_provenance": prov,
             "module_exponent": self.reduced.module_exponent,
-            "no_codim_one_blowup": no_blowing_up_check(self.ctx.S, self.ctx.S_G, self.ctx.cls),
+            "no_codim_one_blowup": self.ctx.cls.no_blowing_up,
             "null_fiber_dimension": nf[0],
             "expected_fiber_dimension": self.ctx.S.rank - self.ctx.S_G.rank,
         }

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from math import lcm
 
-from .divisors import DivisorContext, no_blowing_up_check
+from .divisors import DivisorContext
 from .errors import InvariantViolationError
 from .lattice import Sublattice, quotient_structure
 from .semigroup import Vec, fiber_sample
@@ -43,7 +43,7 @@ def qualified_lattice(
     """Characters realized with both signs whose modules are rank-one
     candidates for freeness comparisons."""
     base = units.intersect(reflection.annihilator)
-    if no_blowing_up_check(ctx.S, ctx.S_G, ctx.cls):
+    if ctx.cls.no_blowing_up:
         return QualifiedLattice(base, "exact")
     act = ctx.action
     gens = []

@@ -6,6 +6,16 @@ Hilbert bases and integer feasibility are computed by a completion solver
 coordinate hyperplanes, which support every facet because the cone is the
 intersection of an orthant with a subspace.
 
+A fiber query (`fiber_sample`) has one decision path.  Its congruence,
+weight and bound rows are lifted to equations over slack variables, and a
+zero right-hand side is answered by the origin.  One Smith solve gives a
+particular integer solution x0 and a kernel basis, or shows there is no
+integer solution.  A nonnegative x0 is the answer.  Otherwise the kernel is
+put in Hermite form and `coset_orthant_search` walks the coset in the
+orthant; it decides exactly when that region is empty or bounded, rank one
+included.  Only an unbounded region falls back to the completion solver on
+the homogenized system.
+
 The solver's search is breadth-first by 1-norm over nodes x >= 0 with
 residual v = A x, stepping along e_j when v . c_j < 0 (c_j the columns of
 A).  Each node carries g = (v . c_j)_j instead of v: the step test reads
@@ -32,10 +42,8 @@ from .lattice import (
     CAPPED,
     EMPTY,
     FOUND,
-    coset_interval_point,
     coset_orthant_search,
     matrix_rank,
-    rational_shifted_cone_nonempty,
     solve_diophantine,
 )
 
@@ -280,70 +288,54 @@ def minimal_nonneg_solutions(
 
 
 def _lift_system(
-    congruences: tuple[tuple[Vec, int], ...], n: int, rhs: dict[int, int] | None = None
+    congruences: tuple[tuple[Vec, int], ...], n: int, rhs: list[int] | None = None
 ) -> tuple[list[Vec], int, list[int]]:
     """Turn congruence rows into equations over extra nonneg slack variables.
 
-    Coefficients of modulus-m rows are reduced into [0, m) so that a single
-    slack k >= 0 with coefficient -m is lossless.  Returns (rows over n+s
-    variables, total variable count, right-hand sides).
+    A modulus-m row has its coefficients and right-hand side reduced into
+    [0, m) and its own slack k >= 0 with coefficient -m, which is lossless;
+    the slack columns follow the n variables in row order.  Returns (rows
+    over n+s variables, total variable count, right-hand sides).
     """
-    rows = []
-    rhs = rhs or {}
-    slack_rows = []
-    out_rhs = []
-    for idx, (coeffs, m) in enumerate(congruences):
-        r = rhs.get(idx, 0)
-        if m == 0:
-            rows.append(tuple(coeffs))
-            out_rhs.append(r)
-        else:
-            rows.append(tuple(c % m for c in coeffs))
-            slack_rows.append(len(rows) - 1)
-            out_rhs.append(r % m)
-    s_at = {ri: k for k, ri in enumerate(slack_rows)}
-    full_rows = []
-    for i, row in enumerate(rows):
-        ext = [0] * len(slack_rows)
-        if i in s_at:
-            ext[s_at[i]] = -congruences[i][1]
-        full_rows.append(tuple(row) + tuple(ext))
-    return full_rows, n + len(slack_rows), out_rhs
+    s = sum(1 for _, m in congruences if m)
+    rows, out_rhs = [], []
+    k = 0
+    for (coeffs, m), r in zip(congruences, rhs or [0] * len(congruences)):
+        slack = [0] * s
+        if m:
+            coeffs, r = [c % m for c in coeffs], r % m
+            slack[k] = -m
+            k += 1
+        rows.append(tuple(coeffs) + tuple(slack))
+        out_rhs.append(r)
+    return rows, n + s, out_rhs
 
 
 def solve_system_nonneg(
     congruences: tuple[tuple[Vec, int], ...],
     n: int,
-    rhs: dict[int, int] | None = None,
+    rhs: list[int] | None = None,
     budget: Budget | None = None,
 ) -> Vec | None:
     """One nonneg integer solution of the congruence system with right-hand sides.
 
-    rhs maps congruence index -> target value (mod the row modulus); omitted
-    rows are homogeneous.  Returns a solution in the original n variables or
-    None when the system is infeasible (decided exactly).
+    rhs lists one target value (mod the row modulus) per congruence; None
+    means all rows are homogeneous.  Returns a solution in the original n
+    variables or None when the system is infeasible (decided exactly).
     """
     budget = budget or Budget()
     rows, total, rvals = _lift_system(congruences, n, rhs)
     if all(v == 0 for v in rvals):
         return (0,) * n
-    # exact prefilters: integral solvability of the equalities, then rational
-    # feasibility of the nonnegativity constraints on the solution coset
     sol = solve_diophantine(IntMatrix.from_rows(rows), tuple(rvals))
     if sol is None:
         return None
-    x0, ker = sol
-    if not rational_shifted_cone_nonempty(x0, list(ker.basis)):
-        return None
+    x0, ker_cols = sol
     if all(v >= 0 for v in x0):
         return x0[:n]
-    if ker.rank == 0:
-        return None
-    if ker.rank == 1:
-        got = coset_interval_point(x0, ker.basis[0])
-        return got[:n] if got is not None else None
-    # direct coset search: a complete decision whenever the region is a
-    # polytope, and a fast witness finder otherwise
+    # the coset search decides exactly whenever the region is empty or a
+    # polytope, and is a fast witness finder otherwise
+    ker = Sublattice.from_columns(ker_cols, total)
     status, got = coset_orthant_search(x0, list(ker.basis), budget)
     if status == FOUND:
         return got[:n]
@@ -420,13 +412,6 @@ def _facets_from_basis(
     return tuple(facets)
 
 
-def fiber_rhs(action: WeightedAction, chi: Vec) -> dict[int, int]:
-    """Right-hand sides putting the weight rows at the character chi."""
-    base = len(action.congruences)
-    chi = action.reduce_char(chi)
-    return {base + i: chi[i] for i in range(action.char_length)}
-
-
 def fiber_sample(
     action: WeightedAction,
     chi: Vec,
@@ -458,13 +443,13 @@ def fiber_sample(
             (tuple(coeffs) + (0,) * s, m)
             for coeffs, m in (*action.congruences, *action.weight_rows())
         ]
-        rhs = fiber_rhs(action, chi)
+        rhs = [0] * len(action.congruences) + list(chi)
         bounded = [((coord,), val) for coord, val in equal_items]
         bounded += [((coord, n + k), bound) for k, (coord, bound) in enumerate(upper_items)]
         if degree_limit is not None:
             bounded.append((tuple(range(n)) + (n + s - 1,), degree_limit))
         for support, value in bounded:
-            rhs[len(congs)] = value
+            rhs.append(value)
             congs.append((tuple(int(j in support) for j in range(n + s)), 0))
         sol = solve_system_nonneg(tuple(congs), n + s, rhs, budget)
         got = sol[:n] if sol is not None else None
@@ -549,7 +534,6 @@ def _balanced_digits(code: int, base: int, count: int) -> list[int]:
 
 
 def enumerate_fiber(
-    S: AffineSemigroup,
     action: WeightedAction,
     chi: Vec,
     degree_cap: int,

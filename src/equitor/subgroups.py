@@ -11,7 +11,6 @@ arithmetic.  No element-level representation of G exists anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .errors import InputError, InvariantViolationError
 from .lattice import QuotientGroup, Sublattice, quotient_structure
@@ -136,7 +135,7 @@ def trivial_subgroup(action: WeightedAction) -> SubgroupOfG:
 
 @dataclass(frozen=True)
 class FiniteAbelianData:
-    """Structure of a finite abelian group: invariant factors, order, exponent."""
+    """Structure of a finite abelian group: invariant factors and order."""
 
     invariant_factors: tuple[int, ...]
 
@@ -146,10 +145,6 @@ class FiniteAbelianData:
         for d in self.invariant_factors:
             out *= d
         return out
-
-    @property
-    def exponent(self) -> int:
-        return lcm(*self.invariant_factors) if self.invariant_factors else 1
 
 
 def ineffective_kernel(S: AffineSemigroup, action: WeightedAction) -> SubgroupOfG:

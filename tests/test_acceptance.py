@@ -38,14 +38,17 @@ def report(num: int, elapsed: float, text: str):
 
 @pytest.fixture(scope="module")
 def corpus_results():
-    """Shared corpus sweep for criteria 5 and 6.
+    """Shared corpus sweep for criteria 5 and 6 and the golden-file pin.
 
-    Keeps per instance only what the two criteria read: the action, the
-    verdict, the corollary check where the verdict is equidimensional, and
-    the obstruction's (exponent, restriction order).  Keeping the analyses
-    would hold every budget's memo tables for the whole module."""
+    Keeps per decided instance only what the two criteria read: the action,
+    the verdict, the corollary check where the verdict is equidimensional,
+    and the obstruction's (exponent, restriction order).  Keeps per attempt
+    its index and either the six fields that perfbench/golden/corpus.json
+    pins or the cap's `what`.  Keeping the analyses would hold every
+    budget's memo tables for the whole module."""
     rng = random.Random(20260810)
     results = []
+    pinned = []
     started = time.monotonic()
     attempts = 0
     while len(results) < 205 and attempts < 400:
@@ -54,14 +57,24 @@ def corpus_results():
         try:
             an = Analysis(act)
             v = an.verdict
-        except CappedComputationError:
+            cor = an.corollary_consistency() if v.equidimensional == "yes" else None
+            obs = an.obstruction
+            fields = {
+                "equidimensional": v.equidimensional,
+                "cofree": v.cofree,
+                "t": v.certificates.get("exponent"),
+                "urcl": list(an.reduced.divisor_side_factors),
+                "cltilde": list(an.reduced.module_side_factors),
+                "obs_restriction": list(obs.restriction.invariant_factors) if obs else None,
+            }
+        except CappedComputationError as e:
+            pinned.append({"index": attempts, "status": "capped", "cap": e.what})
             continue
-        cor = an.corollary_consistency() if v.equidimensional == "yes" else None
-        obs = an.obstruction
+        pinned.append({"index": attempts, "status": "decided", "fields": fields})
         summary = None if obs is None else (obs.exponent, obs.restriction.order)
         results.append((act, v, cor, summary))
     elapsed = time.monotonic() - started
-    return results, elapsed, attempts
+    return results, elapsed, attempts, pinned
 
 
 def test_acceptance_1_example_5_7():
@@ -140,7 +153,7 @@ def test_acceptance_4_divisor_identities():
         # fiber independence: recompute from several enumerated fiber elements
         for chi in chars[:12]:
             D = ctx.char_divisor(chi)
-            fib = enumerate_fiber(ctx.S, act, chi, 12)
+            fib = enumerate_fiber(act, chi, 12)
             assert len(fib) >= 2
             for a in fib[:3]:
                 assert ctx._char_divisor_from(a) == D
@@ -168,7 +181,7 @@ def test_acceptance_4_divisor_identities():
 
 
 def test_acceptance_5_corpus_oracle_equivalence(corpus_results):
-    results, gen_elapsed, attempts = corpus_results
+    results, gen_elapsed, attempts, _pinned = corpus_results
     t0 = time.monotonic()
     decided = 0
     for act, v, _cor, _obs in results:
@@ -184,6 +197,16 @@ def test_acceptance_5_corpus_oracle_equivalence(corpus_results):
                        f"({attempts} generated)")
 
 
+def test_corpus_matches_the_golden_file(corpus_results):
+    """Every attempt of the sweep decides with the pinned fields, or caps on
+    the pinned cap, exactly as the benchmark's golden file records it."""
+    _results, _elapsed, attempts, pinned = corpus_results
+    golden = json.loads((ROOT / "perfbench" / "golden" / "corpus.json").read_text())
+    assert golden["pool_seed"] == 20260810
+    assert attempts == golden["attempts"] == len(golden["instances"]) == 215
+    assert pinned == golden["instances"]
+
+
 def test_acceptance_6_obstruction_consistency(corpus_results):
     """Cofreeness criterion consistency, and the divisibility |Obs|_X| | t^8.
 
@@ -193,7 +216,7 @@ def test_acceptance_6_obstruction_consistency(corpus_results):
     where the minimal cover has order 6 while t = 3), so a failure
     here reports those instances rather than silently weakening the bound.
     """
-    results, gen_elapsed, _ = corpus_results
+    results, gen_elapsed, _, _pinned = corpus_results
     t0 = time.monotonic()
     checked_cor = checked_div = 0
     cor_failures = []
@@ -239,14 +262,14 @@ def test_acceptance_7_dual_paths():
     for act in (action_5_7(), action_5_8()):
         ctx = DivisorContext(act)
         chars = set()
-        for a in enumerate_fiber(ctx.S, act, act.zero_char, 0):
+        for a in enumerate_fiber(act, act.zero_char, 0):
             pass
         seen = set()
         for deg_vec in _all_monomials(act.ambient_dim, 8):
             if ctx.S.contains(deg_vec):
                 seen.add(act.weight_of(deg_vec))
         for chi in sorted(seen):
-            verdict = bounded_freeness_oracle(ctx.S, ctx.S_G, act, chi, 12)
+            verdict = bounded_freeness_oracle(ctx.S_G, act, chi, 12)
             assert verdict in (YES, NO)
             assert (verdict == YES) == ctx.free_test(chi)[0], chi
             freeness_checked += 1

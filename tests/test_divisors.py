@@ -11,7 +11,6 @@ from equitor.divisors import (
     DivisorContext,
     DivisorVector,
     classify_facets,
-    no_blowing_up_check,
 )
 from equitor.errors import CharacterNotRealizedError
 from equitor.semigroup import WeightedAction, build_semigroup
@@ -43,14 +42,14 @@ def test_classify_5_8(fx58):
     assert flat == [0, 1, 2]
     assert sorted(map(len, ctx.cls.fibers)) == [1, 2]
     assert all(f.ram_index == 1 for f in ctx.cls.facets)
-    assert no_blowing_up_check(ctx.S, ctx.S_G, ctx.cls)
+    assert ctx.cls.no_blowing_up
 
 
 def test_classify_5_7(fx57):
     ctx = ctx_of(fx57)
     assert [f.tier for f in ctx.cls.facets] == [HT1] * 4
     assert sorted(map(len, ctx.cls.fibers)) == [2, 2]
-    assert no_blowing_up_check(ctx.S, ctx.S_G, ctx.cls)
+    assert ctx.cls.no_blowing_up
 
 
 def test_classify_deep_contraction():
@@ -61,7 +60,7 @@ def test_classify_deep_contraction():
     ctx = ctx_of(action)
     tiers = {ctx.S.facets[i].coord: f.tier for i, f in enumerate(ctx.cls.facets)}
     assert tiers == {0: HT1, 1: HT2PLUS, 2: HT1}
-    assert not no_blowing_up_check(ctx.S, ctx.S_G, ctx.cls)
+    assert not ctx.cls.no_blowing_up
 
 
 def test_ramification_index_two():
@@ -145,7 +144,7 @@ def test_char_divisor_independence_across_fibers(fx57, fx58):
         ctx = ctx_of(action)
         for chi in chars:
             D = ctx.char_divisor(chi)
-            fib = enumerate_fiber(ctx.S, action, chi, 10)
+            fib = enumerate_fiber(action, chi, 10)
             assert len(fib) >= 2
             for a in fib[:4]:
                 assert ctx._char_divisor_from(a) == D

@@ -1,17 +1,20 @@
 import random
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 
 from equitor import lattice
 from equitor.errors import CappedComputationError, InputError
 from equitor.lattice import (
+    EMPTY,
     FM_MAX_ROWS,
+    FOUND,
     IntMatrix,
     QuotientGroup,
     Sublattice,
     class_order,
     column_hnf,
+    coset_orthant_search,
     kernel_basis,
     matrix_rank,
     quotient_structure,
@@ -19,6 +22,7 @@ from equitor.lattice import (
     smith_normal_form,
     solve_diophantine,
 )
+from equitor.semigroup import Budget
 
 
 def diag_entries(S):
@@ -70,7 +74,8 @@ def test_snf_empty_and_degenerate():
 def test_solve_diophantine_basic():
     sol = solve_diophantine(IntMatrix.from_rows([[2]]), (4,))
     assert sol is not None
-    x0, ker = sol
+    x0, cols = sol
+    ker = Sublattice.from_columns(cols, 1)
     assert x0 == (2,)
     assert ker.rank == 0
 
@@ -81,7 +86,8 @@ def test_solve_diophantine_kernel():
     M = IntMatrix.from_rows([[1, 1, 1, -3]])
     sol = solve_diophantine(M, (0,))
     assert sol is not None
-    x0, ker = sol
+    x0, cols = sol
+    ker = Sublattice.from_columns(cols, M.cols)
     assert M.mul_vec(x0) == (0,)
     assert ker.rank == 3
     for col in ker.basis:
@@ -97,7 +103,8 @@ def test_solve_diophantine_random_against_kernel():
         b = M.mul_vec(x)
         sol = solve_diophantine(M, b)
         assert sol is not None
-        x0, ker = sol
+        x0, cols = sol
+        ker = Sublattice.from_columns(cols, M.cols)
         assert M.mul_vec(x0) == b
         diff = tuple(a - c for a, c in zip(x, x0))
         assert ker.contains(diff)
@@ -121,8 +128,9 @@ def test_solve_diophantine_factors_once(monkeypatch):
         calls.clear()
         sol = solve_diophantine(M, M.mul_vec(x))
         assert len(calls) == 1
-        x0, ker = sol
+        x0, cols = sol
         assert M.mul_vec(x0) == M.mul_vec(x)
+        ker = Sublattice.from_columns(cols, M.cols)
         assert ker == Sublattice.from_columns(kernel_basis(M), M.cols)
         b = tuple(rng.randint(-3, 3) for _ in range(rows))
         calls.clear()
@@ -238,11 +246,11 @@ def test_quotient_group_structure():
     # Z^2 / <(2,0),(0,3)> = Z/2 + Z/3 = Z/6
     q = QuotientGroup.of(Sublattice.from_columns([(2, 0), (0, 3)], 2))
     assert q.invariant_factors == (6,)
-    assert q.order == 6
-    assert q.exponent == 6
+    assert prod(q.invariant_factors) == 6
+    assert lcm(*q.invariant_factors) == 6
     q2 = QuotientGroup.of(Sublattice.from_columns([(2, 0)], 2))
     assert q2.invariant_factors == (2, 0)
-    assert q2.order is None
+    assert 0 in q2.invariant_factors  # a free factor: the group is infinite
 
 
 def test_quotient_structure_of_subgroup():
@@ -275,3 +283,57 @@ def test_fourier_motzkin_blowup_is_a_cap():
     with pytest.raises(CappedComputationError) as err:
         rational_shifted_cone_nonempty(x0, cols)
     assert err.value.cap == FM_MAX_ROWS == 20000
+
+
+def test_sublattice_coordinates_round_trip():
+    L = Sublattice.from_columns([(2, 0), (0, 3)], 2)
+    assert L.coordinates((4, 9)) == (2, 3)
+    assert L.coordinates((1, 0)) is None and not L.contains((1, 0))
+    rng = random.Random(41)
+    outside = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+        L = Sublattice.from_columns(gens, n)
+        coeffs = tuple(rng.randint(-5, 5) for _ in range(L.rank))
+        v = tuple(sum(c * col[i] for c, col in zip(coeffs, L.basis)) for i in range(n))
+        assert L.coordinates(v) == coeffs
+        assert L.contains(v)
+        w = tuple(rng.randint(-6, 6) for _ in range(n))
+        got = L.coordinates(w)
+        assert L.contains(w) == (got is not None)
+        if got is None:
+            # w is outside: adjoining it changes the lattice
+            assert L.sum(Sublattice.from_columns([w], n)) != L
+            outside += 1
+        else:
+            assert tuple(sum(c * col[i] for c, col in zip(got, L.basis)) for i in range(n)) == w
+    assert outside >= 10
+
+
+def test_coset_search_finds_every_rationally_empty_region_empty():
+    # a one-node budget caps any search that reaches its first node, so an
+    # EMPTY answer here comes from the projections alone
+    rng = random.Random(43)
+    empties = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        x0 = tuple(rng.randint(-4, 3) for _ in range(n))
+        cols = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        if not rational_shifted_cone_nonempty(x0, cols):
+            assert coset_orthant_search(x0, cols, Budget(max_nodes=1)) == (EMPTY, None)
+            empties += 1
+    assert empties >= 50
+
+
+def test_rank_one_coset_is_decided_without_search_nodes():
+    one = Budget(max_nodes=1)
+    # both ends bounded: the lower end
+    assert coset_orthant_search((-3, 5), [(1, -1)], one) == (FOUND, (0, 2))
+    # only a lower end, only an upper end, no end at all
+    assert coset_orthant_search((-3, 0), [(1, 1)], one) == (FOUND, (0, 3))
+    assert coset_orthant_search((3,), [(-1,)], one) == (FOUND, (0,))
+    assert coset_orthant_search((1, 2), [(0, 0)], one) == (FOUND, (1, 2))
+    # an empty interval, and a zero column under a negative entry
+    assert coset_orthant_search((-1, -1), [(1, -1)], one) == (EMPTY, None)
+    assert coset_orthant_search((3, -1), [(-1, 0)], one) == (EMPTY, None)

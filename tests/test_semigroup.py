@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equitor.errors import CappedComputationError, InputError
 from equitor.lattice import matrix_rank
@@ -185,8 +187,7 @@ def test_fiber_sample_unrealized_certified_by_saturation(fx58):
 
 def test_enumerate_fiber_matches_loop(fx58):
     action = fx58
-    S = build_semigroup(action)
-    got = enumerate_fiber(S, action, (0, 0), 4)
+    got = enumerate_fiber(action, (0, 0), 4)
     assert (0, 0, 0, 0) in got
     assert (1, 1, 1, 1) in got
     assert (0, 0, 3, 1) in got
@@ -199,8 +200,7 @@ def test_enumerate_fiber_matches_loop(fx58):
 
 
 def test_enumerate_fiber_zero_cap(fx57):
-    S = build_semigroup(fx57)
-    assert enumerate_fiber(S, fx57, (0, 0), 0) == [(0, 0, 0, 0)]
+    assert enumerate_fiber(fx57, (0, 0), 0) == [(0, 0, 0, 0)]
 
 
 def test_fiber_avoids_prime_trivial_cases():
@@ -217,7 +217,7 @@ def test_fiber_avoids_prime_vs_enumeration(fx58):
     action = fx58
     S = build_semigroup(action)
     for chi in [(0, 0), (0, 1), (0, -1), (0, 2), (0, 3)]:
-        fib = enumerate_fiber(S, action, chi, 12)
+        fib = enumerate_fiber(action, chi, 12)
         for P in S.facets:
             seen_off = any(a[P.coord] == 0 for a in fib)
             got = fiber_sample(action, chi, equal={P.coord: 0}) is not None
@@ -304,10 +304,9 @@ def test_coset_search_runs_under_the_budget_node_cap():
 
 
 def test_fiber_sample_bounds_match_enumeration(fx58):
-    S = build_semigroup(fx58)
     budget = Budget()
     for chi in [(0, 0), (0, 1), (0, -1), (0, 3)]:
-        fib = enumerate_fiber(S, fx58, chi, 12)
+        fib = enumerate_fiber(fx58, chi, 12)
         for coord in range(fx58.ambient_dim):
             for bound in range(3):
                 got = fiber_sample(fx58, chi, upper={coord: bound}, degree_limit=12, budget=budget)
@@ -316,3 +315,36 @@ def test_fiber_sample_bounds_match_enumeration(fx58):
                 if got is not None:
                     assert got[coord] <= bound and sum(got) <= 12
                     assert fx58.weight_of(got) == fx58.reduce_char(chi)
+
+
+@st.composite
+def graded_fibers(draw):
+    """A small action whose first weight coordinate is positive on every
+    variable, so each fiber is finite, with a character to query."""
+    n = draw(st.integers(1, 4))
+    free_rank = draw(st.integers(1, 2))
+    torsion = tuple(draw(st.lists(st.sampled_from([2, 3]), max_size=1)))
+    k = free_rank + len(torsion)
+    weights = tuple(
+        (draw(st.integers(1, 3)),) + tuple(draw(st.integers(-3, 3)) for _ in range(k - 1))
+        for _ in range(n)
+    )
+    congruences = tuple(
+        (tuple(draw(st.integers(-3, 3)) for _ in range(n)), draw(st.sampled_from([0, 2, 3])))
+        for _ in range(draw(st.integers(0, 1)))
+    )
+    chi = (draw(st.integers(0, 7)),) + tuple(draw(st.integers(-3, 3)) for _ in range(k - 1))
+    return WeightedAction(n, free_rank, torsion, weights, congruences), chi
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_fibers())
+def test_fiber_sample_decides_finite_fibers(case):
+    # a weight-chi element has degree <= chi[0], so the slice at that degree
+    # holds the whole fiber
+    action, chi = case
+    fib = enumerate_fiber(action, chi, chi[0])
+    got = fiber_sample(action, chi)
+    assert (got is None) == (not fib)
+    if got is not None:
+        assert got in fib

@@ -266,13 +266,13 @@ def test_reflection_of_quotient_is_product(fx57, fx58):
 
 
 def test_derived_subgroups():
-    from equitor.divisors import DivisorContext, no_blowing_up_check
+    from equitor.divisors import DivisorContext
     from equitor.subgroups import derived_subgroups
 
     for act in (action_5_7(), action_5_8()):
         ctx = DivisorContext(act)
         units = SubgroupOfA(act, weight_unit_lattice(ctx.S, act))
-        assert no_blowing_up_check(ctx.S, ctx.S_G, ctx.cls)
+        assert ctx.cls.no_blowing_up
         # both fixtures have trivial reflection restriction, so the qualified
         # lattice is the full unit-weight group
         got = derived_subgroups(ctx.S, act, units, units)

@@ -3,6 +3,7 @@ invariant check that `python -O` can strip, and no name the engine never
 calls unless it is a declared entry point or reference route."""
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +75,7 @@ KEPT_WITHOUT_ENGINE_CALLER = {
     "t_consistency_check": "wide-sweep route to certified_exponent",
     "corollary_consistency": "cofree iff the obstruction restricts trivially (acceptance 6)",
     "derived_subgroups": "kernels of the unit and qualified weight groups, checked for inclusion",
+    "rational_shifted_cone_nonempty": "full-elimination route to the coset search's emptiness test",
     # checks on engine results that the tests state through the public API
     "class_order": "exact class order that acceptance 7 sets against the brute force",
     "principal_facet_flags": "upstairs principality, set against obstructing_facet_flags",
@@ -118,6 +120,25 @@ def test_every_name_has_an_engine_caller():
     # the set names nothing that has since gained a caller or been deleted
     kept = {e.rsplit(":", 1)[1] for e in uncalled}
     assert sorted(set(KEPT_WITHOUT_ENGINE_CALLER) - kept) == []
+
+
+def test_every_benchmark_target_resolves(monkeypatch):
+    # the benchmark's tracer reports a vanished target as absent, not as an
+    # error, so a rename in the engine would only show in perfbench's suite
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, path, _naming, _classify in tracer.TARGETS:
+        owner_name, _, attr = path.rpartition(".")
+        owner = importlib.import_module(f"equitor.{module}")
+        if owner_name:
+            owner = getattr(owner, owner_name, None)
+        if owner is None or owner.__dict__.get(attr) is None:
+            missing.append(f"{module}:{path}")
+    assert missing == []
+    assert any(path.startswith("Analysis.") for _m, path, _n, _c in tracer.TARGETS)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.stem)
