@@ -16,6 +16,7 @@ import time
 from .errors import CappedComputationError, EquitorError, InputError
 from .oracles import bounded_freeness_oracle, null_fiber_dimension
 from .pipeline import Analysis, Options
+from .reduced import reduced_class_groups
 from .semigroup import WeightedAction
 
 Vec = tuple[int, ...]
@@ -173,8 +174,10 @@ def analyze_report(an: Analysis) -> dict:
 
 def run(command: str, doc, flags) -> dict:
     action, options = parse_input(doc)
-    an = Analysis(action, options)
     report: dict = {"command": command, "input": echo_input(action, options)}
+    if command == "cofree" and flags.degree_cap:
+        options = dataclasses.replace(options, degree_cap=flags.degree_cap)
+    an = Analysis(action, options)
     if command == "analyze":
         report.update(analyze_report(an))
     elif command == "invariants":
@@ -236,9 +239,7 @@ def run(command: str, doc, flags) -> dict:
                     "t": obs.exponent,
                     "t_tilde": obs.coprime_part,
                     "t_reflection": obs.reflection_part,
-                    "reflection_restriction": list(
-                        obs.reflection_restriction.invariant_factors
-                    ),
+                    "reflection_restriction": list(an.reflection_restriction.invariant_factors),
                     "obs_restriction": list(obs.restriction.invariant_factors),
                     "obs_annihilator": [list(c) for c in obs.obstruction.annihilator.lattice.basis],
                 }
@@ -264,22 +265,18 @@ def run(command: str, doc, flags) -> dict:
                 }
             )
     elif command == "cofree":
-        cap = flags.degree_cap or options.degree_cap
-        an2 = Analysis(action, dataclasses.replace(options, degree_cap=cap))
-        dec = an2.cofree_decision
+        dec = an.cofree_decision
         report.update(
             {
                 "cofree": "yes" if dec.verdict else "no",
                 "swept_characters": dec.swept_characters,
                 "witness": list(dec.witness) if dec.witness is not None else None,
                 "oracle_checked": dec.oracle_checked,
-                "degree_cap": cap,
+                "degree_cap": options.degree_cap,
             }
         )
     elif command == "sweep":
         bound = flags.bound or options.sweep_bound
-        from .reduced import reduced_class_groups
-
         red = reduced_class_groups(an.ctx, an.qualified, bound)
         report.update(
             {

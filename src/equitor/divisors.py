@@ -58,7 +58,6 @@ class FacetClassification:
 
     facets: tuple[FacetOverInvariants, ...]
     fibers: tuple[tuple[int, ...], ...]  # q index -> facet indices of S_X over q
-    ht0: tuple[int, ...]
     ht2plus: tuple[int, ...]
     ramification_lattice: Sublattice
 
@@ -78,7 +77,6 @@ def classify_facets(S_X: AffineSemigroup, S_G: AffineSemigroup) -> FacetClassifi
     hbg = S_G.hilbert_basis
     infos = []
     fibers: list[list[int]] = [[] for _ in S_G.facets]
-    ht0 = []
     ht2plus = []
     for P in S_X.facets:
         vals = [P.value(h) for h in hbg]
@@ -88,7 +86,6 @@ def classify_facets(S_X: AffineSemigroup, S_G: AffineSemigroup) -> FacetClassifi
             if any(vals):
                 raise InvariantViolationError("facet valuation nonzero on a full-rank face")
             infos.append(FacetOverInvariants(HT0))
-            ht0.append(P.index)
         elif zero_rank == S_G.rank - 1:
             q = next((q for q in S_G.facets if q.zero_set == zero_idx), None)
             if q is None:
@@ -121,7 +118,6 @@ def classify_facets(S_X: AffineSemigroup, S_G: AffineSemigroup) -> FacetClassifi
     return FacetClassification(
         facets=tuple(infos),
         fibers=tuple(tuple(f) for f in fibers),
-        ht0=tuple(ht0),
         ht2plus=tuple(ht2plus),
         ramification_lattice=ram,
     )
@@ -138,18 +134,10 @@ class DivisorVector:
     def is_effective(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
 
-    def add(self, other: "DivisorVector") -> "DivisorVector":
-        if self.target != other.target:
-            raise InputError("divisors on different rings")
-        return DivisorVector(self.target, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def sub(self, other: "DivisorVector") -> "DivisorVector":
         if self.target != other.target:
             raise InputError("divisors on different rings")
         return DivisorVector(self.target, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, m: int) -> "DivisorVector":
-        return DivisorVector(self.target, tuple(m * c for c in self.coeffs))
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,6 @@ class ObstructionData:
     exponent: int
     coprime_part: int
     reflection_part: int
-    reflection_restriction: FiniteAbelianData
     obstruction: SubgroupOfG
     restriction: FiniteAbelianData
 
@@ -78,7 +77,6 @@ class CofreeDecision:
     verdict: bool
     swept_characters: int
     witness: Vec | None  # non-free character when verdict is False
-    deep_facet: int | None  # facet index certifying failure via a deep contraction
     oracle_checked: int
 
 
@@ -174,6 +172,10 @@ class Analysis:
         return DivisorContext(self.action, self.budget)
 
     def context_for(self, H: SubgroupOfG) -> DivisorContext:
+        """The divisor context of X//H; the ineffective kernel acts
+        trivially, so X//kernel is X and shares its context."""
+        if H == self.kernel:
+            return self.ctx
         return DivisorContext(quotient_action(self.action, H), self.budget)
 
     # -- group theory of the stabilized action ------------------------------
@@ -211,7 +213,7 @@ class Analysis:
 
     @cached_property
     def exponent_with_provenance(self) -> tuple[int | None, str]:
-        return certified_exponent(self.ctx, self.qualified, self.reduced)
+        return certified_exponent(self.qualified, self.reduced)
 
     # -- obstruction subgroup ------------------------------------------------
 
@@ -253,7 +255,6 @@ class Analysis:
             exponent=t,
             coprime_part=coprime,
             reflection_part=refl_part,
-            reflection_restriction=self.reflection_restriction,
             obstruction=obs,
             restriction=restr,
         )
@@ -279,8 +280,7 @@ class Analysis:
         """Character-by-character freeness over a bounded weight sweep, with
         the bounded-degree oracle required to concur on every character."""
         if not ctx.cls.no_blowing_up:
-            deep = ctx.cls.ht2plus[0] if ctx.cls.ht2plus else None
-            return CofreeDecision(False, 0, None, deep, 0)
+            return CofreeDecision(False, 0, None, 0)
         act = ctx.action
         weights = []
         for h in ctx.S.hilbert_basis:
@@ -313,8 +313,8 @@ class Analysis:
                             f"no freeness violator exists at character {chi}"
                         )
             if not free:
-                return CofreeDecision(False, len(chars), chi, None, checked)
-        return CofreeDecision(True, len(chars), None, None, checked)
+                return CofreeDecision(False, len(chars), chi, checked)
+        return CofreeDecision(True, len(chars), None, checked)
 
     @cached_property
     def cofree_decision(self) -> CofreeDecision:
@@ -325,7 +325,8 @@ class Analysis:
         obs = self.obstruction
         if obs is None:
             return None
-        return self.decide_cofree(self.context_for(obs.obstruction))
+        ctx = self.context_for(obs.obstruction)
+        return self.cofree_decision if ctx is self.ctx else self.decide_cofree(ctx)
 
     # -- verdicts --------------------------------------------------------------
 
@@ -345,7 +346,7 @@ class Analysis:
             equi = UNKNOWN
         elif t is None:
             equi = "no"
-            certificates["infinite_order_character"] = self._infinite_order_witness()
+            certificates["infinite_order_character"] = self.reduced.infinite_order_character
         elif not certificates["no_codim_one_blowup"]:
             # a deep contraction already refutes equidimensionality
             equi = "no"
@@ -375,15 +376,6 @@ class Analysis:
             null_fiber=nf,
             oracle_agrees=oracle_ok,
         )
-
-    def _infinite_order_witness(self) -> Vec | None:
-        act = self.action
-        for chi in sweep_chars(act, self.qualified.basis_chars(), self.options.sweep_bound):
-            if chi == act.zero_char:
-                continue
-            if self.ctx.char_class_order(chi) is None or self.ctx.module_class_order(chi) is None:
-                return chi
-        return None
 
     # -- theorem-level consistency records ------------------------------------
 

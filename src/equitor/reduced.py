@@ -9,7 +9,9 @@ otherwise it is under-approximated by a bounded sweep and flagged.
 The subgroup of Cl(R) generated by the character divisors is computed from
 a sweep over small combinations of a basis, then certified exact when it
 already contains the envelope allowed by the additivity defect (which is
-controlled by the ramification lattice).
+controlled by the ramification lattice).  The same sweep records the first
+nonzero character whose divisor or module class has infinite order, the
+witness behind an infinite exponent.
 """
 
 from __future__ import annotations
@@ -88,6 +90,7 @@ class ReducedClassData:
     sweep_bound: int
     sweep_stable: bool
     exact: bool  # envelope certificate succeeded
+    infinite_order_character: Vec | None  # first swept class of infinite order
 
 
 def reduced_class_groups(
@@ -103,6 +106,7 @@ def reduced_class_groups(
     mod_cols: list[Vec] = []
     div_orders: list[int | None] = []
     mod_orders: list[int | None] = []
+    infinite = None
     for chi in chars:
         if chi == act.zero_char:
             continue
@@ -114,13 +118,15 @@ def reduced_class_groups(
             raise InvariantViolationError(
                 f"class orders disagree at {chi}: {d_ord} vs {m_ord}"
             )
+        if infinite is None and (d_ord is None or m_ord is None):
+            infinite = chi
         div_orders.append(d_ord)
         mod_orders.append(m_ord)
         div_cols.append(ctx.char_divisor(chi).coeffs)
         mod_cols.append(ctx.module_divisor(chi).coeffs)
 
-    div_factors = _subgroup_factors(div_cols, ctx.cl_R.presentation)
-    mod_factors = _subgroup_factors(mod_cols, ctx.cl_RG.presentation)
+    div_factors = quotient_structure(div_cols, ctx.cl_R.presentation)
+    mod_factors = quotient_structure(mod_cols, ctx.cl_RG.presentation)
     div_exp = _exponent_from_orders(div_orders)
     mod_exp = _exponent_from_orders(mod_orders)
     if div_exp is not None and mod_exp is not None and div_exp != mod_exp:
@@ -136,7 +142,7 @@ def reduced_class_groups(
             if chi == act.zero_char:
                 continue
             wide_cols.append(ctx.char_divisor(chi).coeffs)
-        stable = _subgroup_factors(wide_cols, ctx.cl_R.presentation) == div_factors
+        stable = quotient_structure(wide_cols, ctx.cl_R.presentation) == div_factors
 
     return ReducedClassData(
         divisor_side_factors=div_factors,
@@ -146,12 +152,8 @@ def reduced_class_groups(
         sweep_bound=sweep_bound,
         sweep_stable=stable,
         exact=exact,
+        infinite_order_character=infinite,
     )
-
-
-def _subgroup_factors(cols: list[Vec], presentation: Sublattice) -> tuple[int, ...]:
-    factors = quotient_structure(list(cols), presentation)
-    return tuple(d for d in factors if d != 1)
 
 
 def _exponent_from_orders(orders: list[int | None]) -> int | None:
@@ -181,7 +183,7 @@ def _envelope_certificate(ctx: DivisorContext, basis: list[Vec], div_cols: list[
 
 
 def certified_exponent(
-    ctx: DivisorContext, qualified: QualifiedLattice, data: ReducedClassData
+    qualified: QualifiedLattice, data: ReducedClassData
 ) -> tuple[int | None, str]:
     """The freeness exponent with its provenance.
 

@@ -183,7 +183,7 @@ def restriction_data(H: SubgroupOfG, L: SubgroupOfG) -> FiniteAbelianData | None
     factors = quotient_structure(list(BL.basis), inner)
     if any(d == 0 for d in factors):
         return None
-    return FiniteAbelianData(tuple(d for d in factors if d > 1))
+    return FiniteAbelianData(factors)
 
 
 def quotient_action(action: WeightedAction, H: SubgroupOfG) -> WeightedAction:

@@ -25,6 +25,7 @@ from equitor.oracles import (
 from equitor.pipeline import Analysis
 from equitor.reduced import sweep_chars
 from equitor.semigroup import build_semigroup, enumerate_fiber
+from equitor.subgroups import quotient_action
 from conftest import action_5_7, action_5_8
 from corpus import random_action
 
@@ -38,21 +39,24 @@ def report(num: int, elapsed: float, text: str):
 
 @pytest.fixture(scope="module")
 def corpus_results():
-    """Shared corpus sweep for criteria 5 and 6 and the golden-file pin.
+    """Shared corpus sweep for criteria 5 and 6, the golden-file pin and the
+    obstruction-quotient cross-check, over a fixed 215 attempts.
 
     Keeps per decided instance only what the two criteria read: the action,
     the verdict, the corollary check where the verdict is equidimensional,
     and the obstruction's (exponent, restriction order).  Keeps per attempt
     its index and either the six fields that perfbench/golden/corpus.json
-    pins or the cap's `what`.  Keeping the analyses would hold every
-    budget's memo tables for the whole module."""
+    pins or the cap's `what`.  Where Obs|_X is trivial, keeps the action
+    and whether the cofree decision on an explicitly built X//kernel equals
+    the engine's, which reuses X's own.  Keeping the analyses would hold
+    every budget's memo tables for the whole module."""
     rng = random.Random(20260810)
     results = []
     pinned = []
+    kernel_quotients = []
     started = time.monotonic()
-    attempts = 0
-    while len(results) < 205 and attempts < 400:
-        attempts += 1
+    attempts = 215
+    for index in range(1, attempts + 1):
         act = random_action(rng)
         try:
             an = Analysis(act)
@@ -68,13 +72,16 @@ def corpus_results():
                 "obs_restriction": list(obs.restriction.invariant_factors) if obs else None,
             }
         except CappedComputationError as e:
-            pinned.append({"index": attempts, "status": "capped", "cap": e.what})
+            pinned.append({"index": index, "status": "capped", "cap": e.what})
             continue
-        pinned.append({"index": attempts, "status": "decided", "fields": fields})
+        pinned.append({"index": index, "status": "decided", "fields": fields})
         summary = None if obs is None else (obs.exponent, obs.restriction.order)
         results.append((act, v, cor, summary))
+        if obs is not None and obs.restriction.order == 1:
+            rebuilt = DivisorContext(quotient_action(an.action, an.kernel), an.budget)
+            kernel_quotients.append((act, an.decide_cofree(rebuilt) == an.cofree_decision))
     elapsed = time.monotonic() - started
-    return results, elapsed, attempts, pinned
+    return results, elapsed, attempts, pinned, kernel_quotients
 
 
 def test_acceptance_1_example_5_7():
@@ -181,7 +188,7 @@ def test_acceptance_4_divisor_identities():
 
 
 def test_acceptance_5_corpus_oracle_equivalence(corpus_results):
-    results, gen_elapsed, attempts, _pinned = corpus_results
+    results, gen_elapsed, attempts, _pinned, _kq = corpus_results
     t0 = time.monotonic()
     decided = 0
     for act, v, _cor, _obs in results:
@@ -200,11 +207,20 @@ def test_acceptance_5_corpus_oracle_equivalence(corpus_results):
 def test_corpus_matches_the_golden_file(corpus_results):
     """Every attempt of the sweep decides with the pinned fields, or caps on
     the pinned cap, exactly as the benchmark's golden file records it."""
-    _results, _elapsed, attempts, pinned = corpus_results
+    _results, _elapsed, attempts, pinned, _kq = corpus_results
     golden = json.loads((ROOT / "perfbench" / "golden" / "corpus.json").read_text())
     assert golden["pool_seed"] == 20260810
     assert attempts == golden["attempts"] == len(golden["instances"]) == 215
     assert pinned == golden["instances"]
+
+
+def test_kernel_quotient_cofree_matches_the_engine(corpus_results):
+    """Where Obs|_X is trivial the obstruction quotient is X//kernel, which
+    the engine answers with X's own cofree decision; the decision on the
+    explicitly rebuilt quotient must agree."""
+    _results, _elapsed, _attempts, _pinned, kernel_quotients = corpus_results
+    assert [act for act, agrees in kernel_quotients if not agrees] == []
+    assert len(kernel_quotients) >= 100
 
 
 def test_acceptance_6_obstruction_consistency(corpus_results):
@@ -216,7 +232,7 @@ def test_acceptance_6_obstruction_consistency(corpus_results):
     where the minimal cover has order 6 while t = 3), so a failure
     here reports those instances rather than silently weakening the bound.
     """
-    results, gen_elapsed, _, _pinned = corpus_results
+    results, gen_elapsed, _, _pinned, _kq = corpus_results
     t0 = time.monotonic()
     checked_cor = checked_div = 0
     cor_failures = []
@@ -261,9 +277,6 @@ def test_acceptance_7_dual_paths():
     freeness_checked = 0
     for act in (action_5_7(), action_5_8()):
         ctx = DivisorContext(act)
-        chars = set()
-        for a in enumerate_fiber(act, act.zero_char, 0):
-            pass
         seen = set()
         for deg_vec in _all_monomials(act.ambient_dim, 8):
             if ctx.S.contains(deg_vec):

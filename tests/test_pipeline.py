@@ -1,7 +1,10 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from equitor.cli import parse_input
 from equitor.errors import CappedComputationError, InputError, InvariantViolationError
 from equitor.oracles import INCONCLUSIVE, YES, bounded_freeness_oracle
 from equitor.pipeline import (
@@ -172,6 +175,21 @@ def test_quotient_singularity_counterexample_shape():
     assert v.equidimensional == "yes" and v.cofree == "yes" and v.oracle_agrees
     assert an.obstruction.restriction.order == 1
     assert an.corollary_consistency() is True
+
+
+@pytest.mark.parametrize(
+    "fixture", sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json")),
+    ids=lambda p: p.stem,
+)
+def test_kernel_quotient_reuses_the_context(fixture):
+    # the ineffective kernel acts trivially, so X//kernel is X: the engine
+    # answers the obstruction quotient with X's own context and decision
+    # exactly where the obstruction restricts trivially to X
+    an = Analysis(parse_input(json.loads(fixture.read_text()))[0])
+    assert an.context_for(an.kernel) is an.ctx
+    obs = an.obstruction
+    trivial = obs is not None and obs.restriction.order == 1
+    assert (an.obstruction_quotient_cofree is an.cofree_decision) == trivial
 
 
 def test_reflection_quotient_action_is_cofree():
