@@ -30,7 +30,7 @@ from .semigroup import (
     enumerate_fiber,
     fiber_sample,
 )
-from .subgroups import invariant_action
+from .subgroups import ineffective_kernel, invariant_action
 
 HT0 = "ht0"
 HT1 = "ht1"
@@ -177,25 +177,26 @@ class ClassGroupData:
 
 
 class DivisorContext:
-    """Bundles one action with its semigroup pair, classification, and class
-    groups; memoizes the per-character computations.  Every solver call
-    runs under `budget`, shared with the analysis that made the context."""
+    """Bundles one action with its semigroup pair, ineffective kernel,
+    classification, and class groups.  It holds no memo table: every
+    solver call runs under `budget`, shared with the analysis that made
+    the context, and the fiber points the per-character computations start
+    from are memoized there."""
 
-    def __init__(self, action: WeightedAction, budget: Budget | None = None):
+    def __init__(self, action: WeightedAction, budget: Budget):
         self.action = action
-        self.budget = budget or Budget()
-        self.S = build_semigroup(action, self.budget)
-        self.S_G = build_semigroup(invariant_action(action), self.budget)
+        self.budget = budget
+        self.S = build_semigroup(action, budget)
+        self.S_G = build_semigroup(invariant_action(action), budget)
+        self.kernel = ineffective_kernel(self.S, action)
         self.cls = classify_facets(self.S, self.S_G)
         self.cl_R = ClassGroupData.of(self.S, "R")
         self.cl_RG = ClassGroupData.of(self.S_G, "RG")
-        self._char_div: dict[Vec, DivisorVector] = {}
-        self._module_div: dict[Vec, DivisorVector] = {}
-        self._free: dict[Vec, tuple[bool, Vec | None]] = {}
 
     # -- fibers ------------------------------------------------------------
 
     def fiber_element(self, chi: Vec) -> Vec:
+        chi = self.action.reduce_char(chi)
         a = fiber_sample(self.action, chi, budget=self.budget)
         if a is None:
             raise CharacterNotRealizedError(f"character {chi} has empty fiber")
@@ -212,10 +213,6 @@ class DivisorContext:
     def char_divisor(self, chi: Vec) -> DivisorVector:
         """Minimal effective divisor of the character: the common divisor of
         all weight-chi monomials with every full-fiber multiple stripped."""
-        chi = self.action.reduce_char(chi)
-        hit = self._char_div.get(chi)
-        if hit is not None:
-            return hit
         a = self.fiber_element(chi)
         D = self._char_divisor_from(a)
         b = self.second_fiber_element(a)
@@ -224,7 +221,6 @@ class DivisorContext:
         if not D.is_effective:
             raise InvariantViolationError("character divisor not effective")
         self._check_minimality(D)
-        self._char_div[chi] = D
         return D
 
     def _char_divisor_from(self, a: Vec) -> DivisorVector:
@@ -270,10 +266,6 @@ class DivisorContext:
     def module_divisor(self, chi: Vec) -> DivisorVector:
         """Divisor on K[S_G] of the module of weight-chi elements, via the
         contraction of (1/f) K[S] for a weight-chi monomial f."""
-        chi = self.action.reduce_char(chi)
-        hit = self._module_div.get(chi)
-        if hit is not None:
-            return hit
         a = self.fiber_element(chi)
         D = self.contraction_divisor(tuple(-v for v in self.S.valuation_vector(a)))
         b = self.second_fiber_element(a)
@@ -283,7 +275,6 @@ class DivisorContext:
             shift = self.S_G.valuation_vector(self.S_G.hilbert_basis[0])
             if tuple(x + s for x, s in zip(D2.coeffs, shift)) != D.coeffs:
                 raise InvariantViolationError("module divisor depends on the fiber element")
-        self._module_div[chi] = D
         return D
 
     def module_class_order(self, chi: Vec) -> int | None:
@@ -301,10 +292,6 @@ class DivisorContext:
         valuations equal the character divisor away from deep facets, and a
         witness satisfying the strict fiberwise bound v_P(f) < e(P, q).
         """
-        chi = self.action.reduce_char(chi)
-        hit = self._free.get(chi)
-        if hit is not None:
-            return hit
         D = self.char_divisor(chi)
         exact = {}
         for P in self.S.facets:
@@ -318,9 +305,7 @@ class DivisorContext:
         w2 = self._strict_bound_witness(chi, limit)
         if (w1 is None) != (w2 is None):
             raise InvariantViolationError("freeness routes disagree")
-        result = (w1 is not None, w1)
-        self._free[chi] = result
-        return result
+        return w1 is not None, w1
 
     def _strict_bound_witness(self, chi: Vec, degree_limit: int) -> Vec | None:
         """A weight-chi element with v_P < e(P, q) at one chosen facet P over

@@ -31,7 +31,10 @@ class FaceLatticeSlice:
     faces: tuple[tuple[frozenset[int], int, frozenset[int]], ...]
 
 
-def face_lattice(S: AffineSemigroup, max_faces: int = 4096) -> FaceLatticeSlice:
+MAX_FACES = 4096
+
+
+def face_lattice(S: AffineSemigroup) -> FaceLatticeSlice:
     """All faces of cone(S), as intersections of facets."""
     hb = S.hilbert_basis
     all_idx = frozenset(range(len(hb)))
@@ -43,8 +46,8 @@ def face_lattice(S: AffineSemigroup, max_faces: int = 4096) -> FaceLatticeSlice:
             for fi in subset:
                 idx &= S.facets[fi].zero_set
             if idx not in seen:
-                if len(seen) >= max_faces:
-                    raise CappedComputationError("face enumeration", max_faces)
+                if len(seen) >= MAX_FACES:
+                    raise CappedComputationError("face enumeration", MAX_FACES)
                 coords = frozenset(S.facets[fi].coord for fi in subset)
                 seen[idx] = (matrix_rank([hb[i] for i in idx]), coords)
     faces = tuple(
@@ -85,8 +88,8 @@ def bounded_freeness_oracle(
     S_G: AffineSemigroup,
     action: WeightedAction,
     chi: Vec,
-    degree_cap: int = 12,
-    budget: Budget | None = None,
+    degree_cap: int,
+    budget: Budget,
 ) -> str:
     """Tri-state freeness check on the degree slice [0, degree_cap].
 

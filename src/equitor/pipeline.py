@@ -42,7 +42,6 @@ from .subgroups import (
     FiniteAbelianData,
     SubgroupOfA,
     SubgroupOfG,
-    ineffective_kernel,
     is_stable,
     perp,
     pseudo_reflection_group,
@@ -184,9 +183,9 @@ class Analysis:
     def units(self) -> SubgroupOfA:
         return SubgroupOfA(self.action, weight_unit_lattice(self.ctx.S, self.action, self.budget))
 
-    @cached_property
+    @property
     def kernel(self) -> SubgroupOfG:
-        return ineffective_kernel(self.ctx.S, self.action)
+        return self.ctx.kernel
 
     @cached_property
     def reflection(self) -> SubgroupOfG:
@@ -238,12 +237,11 @@ class Analysis:
         F = self._primary_part(refl_part, self.reflection)
         H = tor_subgroup(coprime, self.kernel).join(tor_subgroup(refl_part, F))
         ctx_h = self.context_for(H)
-        act_h = ctx_h.action
         obs = pseudo_reflection_group(
             ctx_h.S,
-            act_h,
+            ctx_h.action,
             ctx_h.ht1_facets(),
-            ineffective_kernel(ctx_h.S, act_h),
+            ctx_h.kernel,
             principal_flags=ctx_h.obstructing_facet_flags(),
         )
         if not obs.contains(self.kernel):
@@ -282,11 +280,7 @@ class Analysis:
         if not ctx.cls.no_blowing_up:
             return CofreeDecision(False, 0, None, 0)
         act = ctx.action
-        weights = []
-        for h in ctx.S.hilbert_basis:
-            w = act.weight_of(h)
-            if w != act.zero_char and w not in weights:
-                weights.append(w)
+        weights = {act.weight_of(h) for h in ctx.S.hilbert_basis} - {act.zero_char}
         chars = {act.zero_char}
         frontier = {act.zero_char}
         for _ in range(self.options.sweep_bound):

@@ -40,7 +40,7 @@ def qualified_lattice(
     ctx: DivisorContext,
     reflection: SubgroupOfG,
     units: SubgroupOfA,
-    sweep_bound: int = 2,
+    sweep_bound: int,
 ) -> QualifiedLattice:
     """Characters realized with both signs whose modules are rank-one
     candidates for freeness comparisons."""
@@ -67,17 +67,14 @@ def _avoids_deep_facets(ctx: DivisorContext, chi: Vec) -> bool:
 
 def sweep_chars(action, basis: list[Vec], bound: int) -> list[Vec]:
     """All reduced characters sum(n_i * b_i) with |n_i| <= bound, deduplicated."""
-    seen = []
-    seen_set = set()
     if not basis:
         return [action.zero_char]
+    seen = set()
     for combo in itertools.product(range(-bound, bound + 1), repeat=len(basis)):
         chi = action.zero_char
         for n, b in zip(combo, basis):
             chi = action.char_add(chi, action.char_scale(n, b))
-        if chi not in seen_set:
-            seen_set.add(chi)
-            seen.append(chi)
+        seen.add(chi)
     return sorted(seen)
 
 
@@ -96,7 +93,7 @@ class ReducedClassData:
 def reduced_class_groups(
     ctx: DivisorContext,
     qualified: QualifiedLattice,
-    sweep_bound: int = 2,
+    sweep_bound: int,
 ) -> ReducedClassData:
     """Sweep the qualified lattice and assemble both reduced class groups."""
     act = ctx.action
@@ -110,8 +107,10 @@ def reduced_class_groups(
     for chi in chars:
         if chi == act.zero_char:
             continue
-        d_ord = ctx.char_class_order(chi)
-        m_ord = ctx.module_class_order(chi)
+        D = ctx.char_divisor(chi)
+        M = ctx.module_divisor(chi)
+        d_ord = ctx.cl_R.order_of(D)
+        m_ord = ctx.cl_RG.order_of(M)
         # the orders coincide exactly when the module class is torsion; a
         # non-torsion module class says nothing about the divisor side
         if m_ord is not None and d_ord != m_ord:
@@ -122,8 +121,8 @@ def reduced_class_groups(
             infinite = chi
         div_orders.append(d_ord)
         mod_orders.append(m_ord)
-        div_cols.append(ctx.char_divisor(chi).coeffs)
-        mod_cols.append(ctx.module_divisor(chi).coeffs)
+        div_cols.append(D.coeffs)
+        mod_cols.append(M.coeffs)
 
     div_factors = quotient_structure(div_cols, ctx.cl_R.presentation)
     mod_factors = quotient_structure(mod_cols, ctx.cl_RG.presentation)
@@ -203,7 +202,7 @@ def t_consistency_check(
     ctx: DivisorContext,
     qualified: QualifiedLattice,
     exponent: int,
-    wide_bound: int = 3,
+    wide_bound: int,
 ) -> bool:
     """Every qualified character in the wider sweep becomes free at the exponent."""
     act = ctx.action

@@ -56,8 +56,10 @@ class Budget:
 
     `max_norm` bounds the completion solver's breadth-first depth;
     `max_nodes` bounds the candidates of the completion solver and the
-    nodes of the coset search.  The memo tables (semigroups, fiber points,
-    weight slices) live and die with the budget, so no result depends on
+    nodes of the coset search.  Every solver, sampler, oracle and divisor
+    context takes the budget as a required argument, and these are the
+    only memo tables (semigroups, fiber points, weight slices) in the
+    engine: they live and die with the budget, so no result depends on
     what an earlier analysis computed or under which caps.
 
     Two deterministic counters record the completion solver's work:
@@ -312,18 +314,14 @@ def _lift_system(
 
 
 def solve_system_nonneg(
-    congruences: tuple[tuple[Vec, int], ...],
-    n: int,
-    rhs: list[int] | None = None,
-    budget: Budget | None = None,
+    congruences: tuple[tuple[Vec, int], ...], n: int, rhs: list[int], budget: Budget
 ) -> Vec | None:
     """One nonneg integer solution of the congruence system with right-hand sides.
 
-    rhs lists one target value (mod the row modulus) per congruence; None
-    means all rows are homogeneous.  Returns a solution in the original n
-    variables or None when the system is infeasible (decided exactly).
+    rhs lists one target value (mod the row modulus) per congruence.
+    Returns a solution in the original n variables or None when the system
+    is infeasible (decided exactly).
     """
-    budget = budget or Budget()
     rows, total, rvals = _lift_system(congruences, n, rhs)
     if all(v == 0 for v in rvals):
         return (0,) * n
@@ -352,19 +350,18 @@ def solve_system_nonneg(
 
 
 def hilbert_basis(
-    congruences: tuple[tuple[Vec, int], ...], n: int, budget: Budget | None = None
+    congruences: tuple[tuple[Vec, int], ...], n: int, budget: Budget
 ) -> tuple[Vec, ...]:
     """Unique minimal generating set of {a in Z_0^n : congruences hold}, graded-lex."""
     rows, total, _ = _lift_system(congruences, n)
-    sols = minimal_nonneg_solutions(rows, total, budget or Budget())
+    sols = minimal_nonneg_solutions(rows, total, budget)
     # slack values are determined by the a-part, so projection preserves minimality
     basis = sorted({s[:n] for s in sols if any(s[:n])}, key=lambda v: (sum(v), v))
     return tuple(basis)
 
 
-def build_semigroup(action: WeightedAction, budget: Budget | None = None) -> AffineSemigroup:
+def build_semigroup(action: WeightedAction, budget: Budget) -> AffineSemigroup:
     """The affine semigroup of the action, memoized in the budget."""
-    budget = budget or Budget()
     key = (action.ambient_dim, action.congruences)
     S = budget.semigroups.get(key)
     if S is None:
@@ -419,7 +416,7 @@ def fiber_sample(
     equal: dict[int, int] | None = None,
     upper: dict[int, int] | None = None,
     degree_limit: int | None = None,
-    budget: Budget | None = None,
+    budget: Budget,
 ) -> Vec | None:
     """Some weight-chi element a of the semigroup, or None (exact).
 
@@ -428,7 +425,6 @@ def fiber_sample(
     upper bound becomes an equation with one slack variable; the slack block
     is appended after the real variables and projected away.
     """
-    budget = budget or Budget()
     chi = action.reduce_char(chi)
     equal_items = tuple(sorted((equal or {}).items()))
     upper_items = tuple(sorted((upper or {}).items()))
@@ -538,12 +534,11 @@ def enumerate_fiber(
     chi: Vec,
     degree_cap: int,
     *,
-    budget: Budget | None = None,
+    budget: Budget,
 ) -> list[Vec]:
     """All weight-chi semigroup elements of total degree <= degree_cap, graded-lex."""
     if degree_cap < 0:
         raise InputError("degree cap must be >= 0")
-    budget = budget or Budget()
     key = (action, degree_cap)
     slices = budget.slices.get(key)
     if slices is None:
@@ -551,9 +546,7 @@ def enumerate_fiber(
     return list(slices.get(action.reduce_char(chi), ()))
 
 
-def weight_unit_lattice(
-    S: AffineSemigroup, action: WeightedAction, budget: Budget | None = None
-) -> Sublattice:
+def weight_unit_lattice(S: AffineSemigroup, action: WeightedAction, budget: Budget) -> Sublattice:
     """Subgroup of the character group of weights realized with both signs.
 
     A Hilbert-basis weight w is a unit iff -w is realized; the units form a
@@ -574,7 +567,7 @@ def weight_unit_lattice(
     return Sublattice.from_columns(gens + list(rel.basis), action.char_length)
 
 
-def paired_unit_lattice(S: AffineSemigroup, action: WeightedAction) -> Sublattice:
+def paired_unit_lattice(S: AffineSemigroup, action: WeightedAction, budget: Budget) -> Sublattice:
     """Unit-weight subgroup from the paired system {(a,b): wt(a) + wt(b) = 0}.
 
     Independent route kept as an oracle for weight_unit_lattice.
@@ -587,7 +580,7 @@ def paired_unit_lattice(S: AffineSemigroup, action: WeightedAction) -> Sublattic
     for coeffs, m in action.weight_rows():
         congs.append((tuple(coeffs) + tuple(coeffs), m))
     rows, total, _ = _lift_system(tuple(congs), 2 * n)
-    sols = minimal_nonneg_solutions(rows, total, Budget())
+    sols = minimal_nonneg_solutions(rows, total, budget)
     gens = [action.raw_weight(s[:n]) for s in sols]
     rel = action.relation_lattice()
     return Sublattice.from_columns(gens + list(rel.basis), action.char_length)

@@ -62,9 +62,6 @@ class SubgroupOfA:
     def trivial(action: WeightedAction) -> "SubgroupOfA":
         return SubgroupOfA.generated_by(action, [])
 
-    def contains(self, chi: Vec) -> bool:
-        return self.lattice.contains(tuple(chi))
-
     def contains_subgroup(self, other: "SubgroupOfA") -> bool:
         return self.lattice.contains_lattice(other.lattice)
 
@@ -225,7 +222,7 @@ def invariant_action(action: WeightedAction) -> WeightedAction:
     return quotient_action(action, whole_group(action))
 
 
-def is_stable(S: AffineSemigroup, action: WeightedAction, budget: Budget | None = None) -> bool:
+def is_stable(S: AffineSemigroup, action: WeightedAction, budget: Budget) -> bool:
     units = weight_unit_lattice(S, action, budget)
     return all(units.contains(action.raw_weight(h)) for h in S.hilbert_basis)
 
@@ -290,9 +287,10 @@ def derived_subgroups(
     action: WeightedAction,
     qualified: SubgroupOfA,
     two_sided: SubgroupOfA,
+    budget: Budget,
 ) -> dict[str, SubgroupOfG]:
     """The kernels cut out by the unit, qualified, and two-sided weight groups."""
-    units = SubgroupOfA(action, weight_unit_lattice(S, action))
+    units = SubgroupOfA(action, weight_unit_lattice(S, action, budget))
     out = {
         "stability_kernel": perp(units),
         "qualified_kernel": perp(qualified),

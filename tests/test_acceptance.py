@@ -24,7 +24,7 @@ from equitor.oracles import (
 )
 from equitor.pipeline import Analysis
 from equitor.reduced import sweep_chars
-from equitor.semigroup import build_semigroup, enumerate_fiber
+from equitor.semigroup import Budget, build_semigroup, enumerate_fiber
 from equitor.subgroups import quotient_action
 from conftest import action_5_7, action_5_8
 from corpus import random_action
@@ -160,7 +160,7 @@ def test_acceptance_4_divisor_identities():
         # fiber independence: recompute from several enumerated fiber elements
         for chi in chars[:12]:
             D = ctx.char_divisor(chi)
-            fib = enumerate_fiber(act, chi, 12)
+            fib = enumerate_fiber(act, chi, 12, budget=Budget())
             assert len(fib) >= 2
             for a in fib[:3]:
                 assert ctx._char_divisor_from(a) == D
@@ -276,20 +276,20 @@ def test_acceptance_7_dual_paths():
     t0 = time.monotonic()
     freeness_checked = 0
     for act in (action_5_7(), action_5_8()):
-        ctx = DivisorContext(act)
+        ctx = DivisorContext(act, Budget())
         seen = set()
         for deg_vec in _all_monomials(act.ambient_dim, 8):
             if ctx.S.contains(deg_vec):
                 seen.add(act.weight_of(deg_vec))
         for chi in sorted(seen):
-            verdict = bounded_freeness_oracle(ctx.S_G, act, chi, 12)
+            verdict = bounded_freeness_oracle(ctx.S_G, act, chi, 12, ctx.budget)
             assert verdict in (YES, NO)
             assert (verdict == YES) == ctx.free_test(chi)[0], chi
             freeness_checked += 1
     order_checked = 0
     rng = random.Random(99)
     for act in (action_5_7(), action_5_8()):
-        S = build_semigroup(act)
+        S = build_semigroup(act, Budget())
         image = Sublattice.from_columns(
             [S.valuation_vector(c) for c in S.lattice.basis], S.facet_count
         )

@@ -13,12 +13,12 @@ from equitor.divisors import (
     classify_facets,
 )
 from equitor.errors import CharacterNotRealizedError
-from equitor.semigroup import WeightedAction, build_semigroup
+from equitor.semigroup import Budget, WeightedAction, build_semigroup
 from conftest import action_5_7, action_5_8, polynomial_action, scaling_action
 
 
 def ctx_of(action):
-    return DivisorContext(action)
+    return DivisorContext(action, Budget())
 
 
 def test_classify_trivial_group():
@@ -144,7 +144,7 @@ def test_char_divisor_independence_across_fibers(fx57, fx58):
         ctx = ctx_of(action)
         for chi in chars:
             D = ctx.char_divisor(chi)
-            fib = enumerate_fiber(action, chi, 10)
+            fib = enumerate_fiber(action, chi, 10, budget=Budget())
             assert len(fib) >= 2
             for a in fib[:4]:
                 assert ctx._char_divisor_from(a) == D

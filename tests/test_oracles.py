@@ -11,7 +11,7 @@ from equitor.oracles import (
     face_lattice,
     null_fiber_dimension,
 )
-from equitor.semigroup import WeightedAction, build_semigroup
+from equitor.semigroup import Budget, WeightedAction, build_semigroup
 from equitor.subgroups import invariant_action
 from conftest import (
     action_5_7,
@@ -22,7 +22,7 @@ from conftest import (
 
 
 def semigroup_pair(action):
-    return build_semigroup(action), build_semigroup(invariant_action(action))
+    return build_semigroup(action, Budget()), build_semigroup(invariant_action(action), Budget())
 
 
 def test_null_fiber_trivial_group():
@@ -60,8 +60,8 @@ def test_null_fiber_non_equidimensional():
 def test_null_fiber_monotone_under_more_invariants(fx57):
     # enlarging the invariant semigroup cannot increase the null fiber
     act = ambient_torus_action()
-    S = build_semigroup(act)
-    SG_small = build_semigroup(invariant_action(act))
+    S = build_semigroup(act, Budget())
+    SG_small = build_semigroup(invariant_action(act), Budget())
     SG_big = S  # pretend the whole thing is invariant
     d_small, _ = null_fiber_dimension(S, SG_small)
     d_big, _ = null_fiber_dimension(S, SG_big)
@@ -71,14 +71,14 @@ def test_null_fiber_monotone_under_more_invariants(fx57):
 def test_bounded_freeness_oracle_basics(fx58):
     act = fx58
     _S, SG = semigroup_pair(act)
-    assert bounded_freeness_oracle(SG, act, (0, 0), 8) == YES
-    assert bounded_freeness_oracle(SG, act, (0, 1), 12) == NO
-    assert bounded_freeness_oracle(SG, act, (1, 0), 12) == INCONCLUSIVE
+    assert bounded_freeness_oracle(SG, act, (0, 0), 8, Budget()) == YES
+    assert bounded_freeness_oracle(SG, act, (0, 1), 12, Budget()) == NO
+    assert bounded_freeness_oracle(SG, act, (1, 0), 12, Budget()) == INCONCLUSIVE
 
 
 def test_bounded_freeness_agrees_with_divisor_test(fx57, fx58):
     for act in (fx57, fx58):
-        ctx = DivisorContext(act)
+        ctx = DivisorContext(act, Budget())
         chars = set()
         for h in ctx.S.hilbert_basis:
             w = act.weight_of(h)
@@ -86,14 +86,14 @@ def test_bounded_freeness_agrees_with_divisor_test(fx57, fx58):
             chars.add(act.char_neg(w))
             chars.add(act.char_scale(2, w))
         for chi in sorted(chars):
-            verdict = bounded_freeness_oracle(ctx.S_G, act, chi, 12)
+            verdict = bounded_freeness_oracle(ctx.S_G, act, chi, 12, ctx.budget)
             if verdict == INCONCLUSIVE:
                 continue
             assert (verdict == YES) == ctx.free_test(chi)[0], chi
 
 
 def test_brute_force_class_order_examples(fx58):
-    S = build_semigroup(fx58)
+    S = build_semigroup(fx58, Budget())
     assert brute_force_class_order(S, (0, 0, 0), 5) == 1
     assert brute_force_class_order(S, (1, 0, 0), 5) == 3
     assert brute_force_class_order(S, (1, 1, 0), 5) == 3
@@ -104,7 +104,7 @@ def test_brute_force_class_order_examples(fx58):
 def test_brute_force_matches_lattice_orders(fx57, fx58):
     rng = random.Random(14)
     for act in (action_5_7(), action_5_8()):
-        S = build_semigroup(act)
+        S = build_semigroup(act, Budget())
         image_cols = [S.valuation_vector(c) for c in S.lattice.basis]
         from equitor.lattice import Sublattice
 

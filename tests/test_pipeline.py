@@ -12,7 +12,7 @@ from equitor.pipeline import (
     Options,
     t_factorization,
 )
-from equitor.semigroup import WeightedAction, build_semigroup
+from equitor.semigroup import Budget, WeightedAction, build_semigroup
 from equitor.subgroups import (
     SubgroupOfA,
     ineffective_kernel,
@@ -55,12 +55,12 @@ def test_stability_reduce():
     an = Analysis(scaling_action())
     red, stable = an.action, an.input_stable
     assert not stable
-    S = build_semigroup(red)
+    S = build_semigroup(red, Budget())
     assert S.hilbert_basis == ()  # reduced to the point
     # idempotent
     an = Analysis(red)
     red2, stable2 = an.action, an.input_stable
-    assert stable2 and build_semigroup(red2).hilbert_basis == ()
+    assert stable2 and build_semigroup(red2, Budget()).hilbert_basis == ()
 
 
 def test_analysis_5_7_values():
@@ -177,6 +177,21 @@ def test_quotient_singularity_counterexample_shape():
     assert an.corollary_consistency() is True
 
 
+def test_corpus_210_obstruction_values():
+    # corpus attempt #210, the instance acceptance 6 fails on: the obstruction
+    # restricts as Z/6 while t = 3, so |Obs|_X| does not divide t^8.  These
+    # are the engine's current values, pinned so a change to any of them
+    # shows here and not only inside the corpus-wide assertion.
+    an = Analysis(WeightedAction(3, 1, (3,), ((2, 0), (-1, 2), (0, 2))))
+    v = an.verdict
+    obs = an.obstruction
+    assert (v.equidimensional, v.cofree) == ("yes", "no")
+    assert (obs.exponent, obs.coprime_part, obs.reflection_part) == (3, 3, 1)
+    assert an.reflection_restriction.invariant_factors == (2,)
+    assert obs.restriction.invariant_factors == (6,)
+    assert 3**8 % obs.restriction.order != 0
+
+
 @pytest.mark.parametrize(
     "fixture", sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json")),
     ids=lambda p: p.stem,
@@ -213,11 +228,11 @@ def test_reflection_quotient_action_is_cofree():
             sub = restrict_action_to_subgroup(
                 quotient_action(act, refl_tilde), join
             )
-            S_sub = build_semigroup(sub)
-            SG_sub = build_semigroup(quotient_action(sub, perp(SubgroupOfA.trivial(sub))))
+            S_sub = build_semigroup(sub, Budget())
+            SG_sub = build_semigroup(quotient_action(sub, perp(SubgroupOfA.trivial(sub))), Budget())
             for h in S_sub.hilbert_basis:
                 chi = sub.weight_of(h)
-                got = bounded_freeness_oracle(SG_sub, sub, chi, 10)
+                got = bounded_freeness_oracle(SG_sub, sub, chi, 10, Budget())
                 assert got in (YES, INCONCLUSIVE)
 
 

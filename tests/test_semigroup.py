@@ -52,14 +52,14 @@ def brute_minimal(sols):
 
 
 def test_hilbert_basis_diagonal():
-    assert hilbert_basis((((1, -1), 0),), 2) == ((1, 1),)
+    assert hilbert_basis((((1, -1), 0),), 2, Budget()) == ((1, 1),)
 
 
 def test_hilbert_basis_5_8_system():
     # oracle first: enumerate degree <= 8 and reduce
     congs = (((1, 1, 1, -3), 0),)
     expected = brute_minimal(brute_solutions(congs, 4, 8))
-    got = hilbert_basis(congs, 4)
+    got = hilbert_basis(congs, 4, Budget())
     assert list(got) == expected
     assert len(got) == 10
     assert all(a[3] == 1 for a in got)
@@ -67,18 +67,18 @@ def test_hilbert_basis_5_8_system():
 
 def test_hilbert_basis_invariants_5_8():
     congs = (((1, -1, 0, 0), 0), ((2, 0, 1, -3), 0))
-    assert hilbert_basis(congs, 4) == ((0, 0, 3, 1), (1, 1, 1, 1), (3, 3, 0, 2))
+    assert hilbert_basis(congs, 4, Budget()) == ((0, 0, 3, 1), (1, 1, 1, 1), (3, 3, 0, 2))
 
 
 def test_hilbert_basis_congruence_vs_brute():
     congs = (((1, 1, -1, -1), 3),)
     expected = brute_minimal(brute_solutions(congs, 4, 8))
-    assert list(hilbert_basis(congs, 4)) == expected
+    assert list(hilbert_basis(congs, 4, Budget())) == expected
 
 
 def test_hilbert_basis_minimality_exhaustive(fx57, fx58):
     for action in (fx57, fx58):
-        S = build_semigroup(action)
+        S = build_semigroup(action, Budget())
         hb = set(S.hilbert_basis)
         for h in hb:
             for u in hb:
@@ -88,7 +88,7 @@ def test_hilbert_basis_minimality_exhaustive(fx57, fx58):
 
 
 def test_build_polynomial_ring():
-    S = build_semigroup(polynomial_action(4))
+    S = build_semigroup(polynomial_action(4), Budget())
     assert len(S.hilbert_basis) == 4
     assert S.rank == 4
     assert S.facet_count == 4
@@ -97,7 +97,7 @@ def test_build_polynomial_ring():
 
 
 def test_build_5_8_geometry(fx58):
-    S = build_semigroup(fx58)
+    S = build_semigroup(fx58, Budget())
     assert S.rank == 3
     assert S.facet_count == 3  # the a4 = 0 face meets the cone only at 0
     assert sorted(p.coord for p in S.facets) == [0, 1, 2]
@@ -105,7 +105,7 @@ def test_build_5_8_geometry(fx58):
 
 
 def test_build_5_7_geometry(fx57):
-    S = build_semigroup(fx57)
+    S = build_semigroup(fx57, Budget())
     assert S.rank == 4
     assert S.facet_count == 4
     # index-3 lattice, every coordinate still hits 1 on ZS (brute check)
@@ -120,7 +120,7 @@ def test_build_5_7_geometry(fx57):
 
 def test_facet_normal_properties(fx57, fx58):
     for action in (fx57, fx58, polynomial_action(3)):
-        S = build_semigroup(action)
+        S = build_semigroup(action, Budget())
         for P in S.facets:
             vals = [P.value(h) for h in S.hilbert_basis]
             assert all(v >= 0 for v in vals)
@@ -132,7 +132,7 @@ def test_facet_normal_properties(fx57, fx58):
 def test_saturation_property(fx57, fx58):
     rng = random.Random(2)
     for action in (fx57, fx58):
-        S = build_semigroup(action)
+        S = build_semigroup(action, Budget())
         for _ in range(60):
             coeffs = [rng.randint(0, 2) for _ in S.hilbert_basis]
             v = tuple(
@@ -165,29 +165,29 @@ def test_weight_of(fx58):
 
 def test_fiber_sample(fx58):
     action = fx58
-    S = build_semigroup(action)
-    assert fiber_sample(action, (0, 0)) is not None
-    a = fiber_sample(action, (0, 1))
+    S = build_semigroup(action, Budget())
+    assert fiber_sample(action, (0, 0), budget=Budget()) is not None
+    a = fiber_sample(action, (0, 1), budget=Budget())
     assert a is not None
     assert S.contains(a)
     assert action.weight_of(a) == (0, 1)
     # weights outside the realized group have empty fibers
-    assert fiber_sample(action, (1, 0)) is None
-    assert fiber_sample(action, (2, 3)) is None
+    assert fiber_sample(action, (1, 0), budget=Budget()) is None
+    assert fiber_sample(action, (2, 3), budget=Budget()) is None
 
 
 def test_fiber_sample_unrealized_certified_by_saturation(fx58):
     # the realized weights at small degree already generate 0 + Z; nothing
     # with a nonzero first coordinate ever appears
     action = fx58
-    S = build_semigroup(action)
+    S = build_semigroup(action, Budget())
     seen = {action.weight_of(h) for h in S.hilbert_basis}
     assert all(w[0] == 0 for w in seen)
 
 
 def test_enumerate_fiber_matches_loop(fx58):
     action = fx58
-    got = enumerate_fiber(action, (0, 0), 4)
+    got = enumerate_fiber(action, (0, 0), 4, budget=Budget())
     assert (0, 0, 0, 0) in got
     assert (1, 1, 1, 1) in got
     assert (0, 0, 3, 1) in got
@@ -200,62 +200,62 @@ def test_enumerate_fiber_matches_loop(fx58):
 
 
 def test_enumerate_fiber_zero_cap(fx57):
-    assert enumerate_fiber(fx57, (0, 0), 0) == [(0, 0, 0, 0)]
+    assert enumerate_fiber(fx57, (0, 0), 0, budget=Budget()) == [(0, 0, 0, 0)]
 
 
 def test_fiber_avoids_prime_trivial_cases():
     action = WeightedAction(
         ambient_dim=2, free_rank=2, torsion_moduli=(), weights=((1, 0), (0, 1))
     )
-    S = build_semigroup(action)
+    S = build_semigroup(action, Budget())
     P1 = next(p for p in S.facets if p.coord == 0)
-    assert fiber_sample(action, (0, 0), equal={P1.coord: 0}) is not None
-    assert fiber_sample(action, (1, 0), equal={P1.coord: 0}) is None
+    assert fiber_sample(action, (0, 0), equal={P1.coord: 0}, budget=Budget()) is not None
+    assert fiber_sample(action, (1, 0), equal={P1.coord: 0}, budget=Budget()) is None
 
 
 def test_fiber_avoids_prime_vs_enumeration(fx58):
     action = fx58
-    S = build_semigroup(action)
+    S = build_semigroup(action, Budget())
     for chi in [(0, 0), (0, 1), (0, -1), (0, 2), (0, 3)]:
-        fib = enumerate_fiber(action, chi, 12)
+        fib = enumerate_fiber(action, chi, 12, budget=Budget())
         for P in S.facets:
             seen_off = any(a[P.coord] == 0 for a in fib)
-            got = fiber_sample(action, chi, equal={P.coord: 0}) is not None
+            got = fiber_sample(action, chi, equal={P.coord: 0}, budget=Budget()) is not None
             if seen_off:
                 assert got
         # the enumeration at this cap found a witness whenever one exists
         for P in S.facets:
-            if fiber_sample(action, chi, equal={P.coord: 0}) is not None:
+            if fiber_sample(action, chi, equal={P.coord: 0}, budget=Budget()) is not None:
                 assert any(a[P.coord] == 0 for a in fib)
 
 
 def test_weight_unit_group_trivial_and_positive():
     triv = polynomial_action(3)
-    S = build_semigroup(triv)
-    assert weight_unit_lattice(S, triv).rank == 0
+    S = build_semigroup(triv, Budget())
+    assert weight_unit_lattice(S, triv, Budget()).rank == 0
     scal = scaling_action()
-    Ss = build_semigroup(scal)
-    assert weight_unit_lattice(Ss, scal).rank == 0  # strictly positive grading
+    Ss = build_semigroup(scal, Budget())
+    assert weight_unit_lattice(Ss, scal, Budget()).rank == 0  # strictly positive grading
 
 
 def test_weight_unit_group_5_8(fx58):
-    S = build_semigroup(fx58)
-    units = weight_unit_lattice(S, fx58)
+    S = build_semigroup(fx58, Budget())
+    units = weight_unit_lattice(S, fx58, Budget())
     assert units.contains((0, 1))
     assert not units.contains((1, 0))
     assert units.rank == 1
 
 
 def test_weight_unit_group_5_7_full(fx57):
-    S = build_semigroup(fx57)
-    units = weight_unit_lattice(S, fx57)
+    S = build_semigroup(fx57, Budget())
+    units = weight_unit_lattice(S, fx57, Budget())
     assert units.contains((1, 0)) and units.contains((0, 1))
 
 
 def test_weight_unit_group_matches_paired_system(fx57, fx58):
     for action in (fx57, fx58, ambient_torus_action(), polynomial_action(2)):
-        S = build_semigroup(action)
-        assert weight_unit_lattice(S, action) == paired_unit_lattice(S, action)
+        S = build_semigroup(action, Budget())
+        assert weight_unit_lattice(S, action, Budget()) == paired_unit_lattice(S, action, Budget())
 
 
 def test_action_validation():
@@ -287,7 +287,7 @@ def test_capped_build_does_not_depend_on_call_history(fx58):
     with pytest.raises(CappedComputationError) as fresh:
         build_semigroup(fx58, Budget(max_norm=2))
     assert fresh.value.cap == 2
-    assert build_semigroup(fx58).hilbert_basis
+    assert build_semigroup(fx58, Budget()).hilbert_basis
     with pytest.raises(CappedComputationError) as again:
         build_semigroup(fx58, Budget(max_norm=2))
     assert again.value.cap == 2
@@ -299,14 +299,14 @@ def test_coset_search_runs_under_the_budget_node_cap():
     with pytest.raises(CappedComputationError) as err:
         fiber_sample(action, (7,), budget=Budget(max_nodes=1))
     assert (err.value.what, err.value.cap) == ("coset search (candidates)", 1)
-    a = fiber_sample(action, (7,))
+    a = fiber_sample(action, (7,), budget=Budget())
     assert min(a) >= 0 and action.weight_of(a) == (7,)
 
 
 def test_fiber_sample_bounds_match_enumeration(fx58):
     budget = Budget()
     for chi in [(0, 0), (0, 1), (0, -1), (0, 3)]:
-        fib = enumerate_fiber(fx58, chi, 12)
+        fib = enumerate_fiber(fx58, chi, 12, budget=Budget())
         for coord in range(fx58.ambient_dim):
             for bound in range(3):
                 got = fiber_sample(fx58, chi, upper={coord: bound}, degree_limit=12, budget=budget)
@@ -343,8 +343,8 @@ def test_fiber_sample_decides_finite_fibers(case):
     # a weight-chi element has degree <= chi[0], so the slice at that degree
     # holds the whole fiber
     action, chi = case
-    fib = enumerate_fiber(action, chi, chi[0])
-    got = fiber_sample(action, chi)
+    fib = enumerate_fiber(action, chi, chi[0], budget=Budget())
+    got = fiber_sample(action, chi, budget=Budget())
     assert (got is None) == (not fib)
     if got is not None:
         assert got in fib

@@ -3,7 +3,7 @@ import random
 
 from equitor.divisors import DivisorContext
 from equitor.lattice import Sublattice
-from equitor.semigroup import WeightedAction, build_semigroup, weight_unit_lattice
+from equitor.semigroup import Budget, WeightedAction, build_semigroup, weight_unit_lattice
 from equitor.subgroups import (
     FiniteAbelianData,
     SubgroupOfA,
@@ -68,30 +68,30 @@ def test_perp_extremes():
 
 def test_ineffective_kernel_faithful():
     act = ambient_torus_action()
-    S = build_semigroup(act)
+    S = build_semigroup(act, Budget())
     L = ineffective_kernel(S, act)
     assert L.is_trivial()
 
 
 def test_ineffective_kernel_5_8(fx58):
-    S = build_semigroup(fx58)
+    S = build_semigroup(fx58, Budget())
     L = ineffective_kernel(S, fx58)
     # the scaling one-torus acts trivially on the quotient: annihilator 0 + Z
     assert L.annihilator.lattice == Sublattice.from_columns([(0, 1)], 2)
     # every Hilbert-basis weight kills it
     for h in S.hilbert_basis:
-        assert L.annihilator.contains(fx58.raw_weight(h))
+        assert L.annihilator.lattice.contains(fx58.raw_weight(h))
 
 
 def test_ineffective_kernel_trivial_group():
     act = polynomial_action(2)
-    S = build_semigroup(act)
+    S = build_semigroup(act, Budget())
     assert ineffective_kernel(S, act).is_whole_group()
 
 
 def test_inertia_contains_kernel(fx57, fx58):
     for act in (fx57, fx58, ambient_torus_action()):
-        S = build_semigroup(act)
+        S = build_semigroup(act, Budget())
         L = ineffective_kernel(S, act)
         for P in S.facets:
             assert inertia_subgroup(S, act, P).contains(L)
@@ -99,7 +99,7 @@ def test_inertia_contains_kernel(fx57, fx58):
 
 def test_inertia_generic_weights():
     act = ambient_torus_action()
-    S = build_semigroup(act)
+    S = build_semigroup(act, Budget())
     for P in S.facets:
         I = inertia_subgroup(S, act, P)
         # the remaining three weights already span the character group
@@ -108,7 +108,7 @@ def test_inertia_generic_weights():
 
 def test_reflection_group_trivial_on_quotients(fx57, fx58):
     for act in (fx57, fx58):
-        ctx = DivisorContext(act)
+        ctx = DivisorContext(act, Budget())
         L = ineffective_kernel(ctx.S, act)
         refl = pseudo_reflection_group(ctx.S, act, ctx.ht1_facets(), L)
         data = restriction_data(refl, L)
@@ -117,7 +117,7 @@ def test_reflection_group_trivial_on_quotients(fx57, fx58):
 
 def test_reflection_group_ambient_action():
     act = action_5_7_ambient()
-    ctx = DivisorContext(act)
+    ctx = DivisorContext(act, Budget())
     L = ineffective_kernel(ctx.S, act)
     refl = pseudo_reflection_group(ctx.S, act, ctx.ht1_facets(), L)
     data = restriction_data(refl, L)
@@ -128,12 +128,12 @@ def test_reflection_group_scaling_torus_after_reduction():
     # the scaling torus is not stable; the stabilized action is the point,
     # where the whole group acts ineffectively
     act = scaling_action()
-    S = build_semigroup(act)
-    assert not is_stable(S, act)
-    units = SubgroupOfA(act, weight_unit_lattice(S, act))
+    S = build_semigroup(act, Budget())
+    assert not is_stable(S, act, Budget())
+    units = SubgroupOfA(act, weight_unit_lattice(S, act, Budget()))
     reduced = quotient_action(act, perp(units))
-    S2 = build_semigroup(reduced)
-    ctx = DivisorContext(reduced)
+    S2 = build_semigroup(reduced, Budget())
+    ctx = DivisorContext(reduced, Budget())
     L = ineffective_kernel(S2, reduced)
     refl = pseudo_reflection_group(S2, reduced, ctx.ht1_facets(), L)
     assert refl.is_whole_group()
@@ -197,7 +197,7 @@ def test_tor_brute_force_on_finite_groups():
 
 def test_restriction_data_examples():
     act = action_5_7()
-    S = build_semigroup(act)
+    S = build_semigroup(act, Budget())
     L = ineffective_kernel(S, act)
     # H contained in the kernel restricts trivially
     assert restriction_data(L, L).order == 1
@@ -211,10 +211,10 @@ def test_restriction_data_examples():
 
 def test_quotient_action_trivial_and_full(fx57):
     act = fx57
-    S = build_semigroup(act)
-    assert build_semigroup(quotient_action(act, trivial_subgroup(act))).hilbert_basis == S.hilbert_basis
-    SG = build_semigroup(quotient_action(act, whole_group(act)))
-    assert SG.hilbert_basis == build_semigroup(invariant_action(act)).hilbert_basis
+    S = build_semigroup(act, Budget())
+    assert build_semigroup(quotient_action(act, trivial_subgroup(act)), Budget()).hilbert_basis == S.hilbert_basis
+    SG = build_semigroup(quotient_action(act, whole_group(act)), Budget())
+    assert SG.hilbert_basis == build_semigroup(invariant_action(act), Budget()).hilbert_basis
     assert all(act.weight_of(h) == (0, 0) for h in SG.hilbert_basis)
 
 
@@ -222,15 +222,15 @@ def test_quotient_of_ambient_reproduces_5_7():
     # quotient of K^4 by the order-3 cyclic factor gives the 5.7 semigroup
     amb = action_5_7_ambient()
     tau = perp(SubgroupOfA.generated_by(amb, [(1, 0, 0), (0, 1, 0)]))
-    S_quot = build_semigroup(quotient_action(amb, tau))
-    S_57 = build_semigroup(action_5_7())
+    S_quot = build_semigroup(quotient_action(amb, tau), Budget())
+    S_57 = build_semigroup(action_5_7(), Budget())
     assert S_quot.hilbert_basis == S_57.hilbert_basis
 
 
 def test_stability(fx57, fx58):
     for act, expect in ((fx57, True), (fx58, True), (scaling_action(), False)):
-        S = build_semigroup(act)
-        assert is_stable(S, act) == expect
+        S = build_semigroup(act, Budget())
+        assert is_stable(S, act, Budget()) == expect
 
 
 def test_pairing_lemma_on_fixtures(fx57, fx58):
@@ -238,13 +238,13 @@ def test_pairing_lemma_on_fixtures(fx57, fx58):
     # are exactly B_Gamma intersected with the unit weights
     rng = random.Random(6)
     for act in (fx57, fx58):
-        S = build_semigroup(act)
-        units = SubgroupOfA(act, weight_unit_lattice(S, act))
+        S = build_semigroup(act, Budget())
+        units = SubgroupOfA(act, weight_unit_lattice(S, act, Budget()))
         for _ in range(6):
             B = random_subgroup(act, rng)
             sub = quotient_action(act, perp(B))
-            S_sub = build_semigroup(sub)
-            sub_units = SubgroupOfA(act, weight_unit_lattice(S_sub, act))
+            S_sub = build_semigroup(sub, Budget())
+            sub_units = SubgroupOfA(act, weight_unit_lattice(S_sub, act, Budget()))
             assert sub_units == units.intersect(B)
 
 
@@ -253,12 +253,12 @@ def test_reflection_of_quotient_is_product(fx57, fx58):
     # reflection group
     rng = random.Random(21)
     for act in (action_5_7(), action_5_8()):
-        ctx = DivisorContext(act)
+        ctx = DivisorContext(act, Budget())
         L = ineffective_kernel(ctx.S, act)
         refl = pseudo_reflection_group(ctx.S, act, ctx.ht1_facets(), L)
         for m in (2, 3):
             N = tor_subgroup(m, L)
-            ctx_n = DivisorContext(quotient_action(act, N))
+            ctx_n = DivisorContext(quotient_action(act, N), Budget())
             act_n = ctx_n.action
             L_n = ineffective_kernel(ctx_n.S, act_n)
             refl_n = pseudo_reflection_group(ctx_n.S, act_n, ctx_n.ht1_facets(), L_n)
@@ -270,12 +270,12 @@ def test_derived_subgroups():
     from equitor.subgroups import derived_subgroups
 
     for act in (action_5_7(), action_5_8()):
-        ctx = DivisorContext(act)
-        units = SubgroupOfA(act, weight_unit_lattice(ctx.S, act))
+        ctx = DivisorContext(act, Budget())
+        units = SubgroupOfA(act, weight_unit_lattice(ctx.S, act, ctx.budget))
         assert ctx.cls.no_blowing_up
         # both fixtures have trivial reflection restriction, so the qualified
         # lattice is the full unit-weight group
-        got = derived_subgroups(ctx.S, act, units, units)
+        got = derived_subgroups(ctx.S, act, units, units, ctx.budget)
         L = ineffective_kernel(ctx.S, act)
         # the stability kernel acts trivially (the actions are stable)
         assert restriction_data(got["stability_kernel"], L).order == 1
@@ -285,9 +285,9 @@ def test_derived_subgroups():
         )
 
     act = polynomial_action(2)
-    ctx = DivisorContext(act)
-    units = SubgroupOfA(act, weight_unit_lattice(ctx.S, act))
-    got = derived_subgroups(ctx.S, act, units, units)
+    ctx = DivisorContext(act, Budget())
+    units = SubgroupOfA(act, weight_unit_lattice(ctx.S, act, ctx.budget))
+    got = derived_subgroups(ctx.S, act, units, units, ctx.budget)
     for H in got.values():
         assert H.is_whole_group()  # the trivial group's only subgroup
 

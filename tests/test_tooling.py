@@ -1,6 +1,7 @@
-"""Source-level guarantees: no state that outlives one analysis, no
-invariant check that `python -O` can strip, and no name the engine never
-calls unless it is a declared entry point or reference route."""
+"""Source-level guarantees: no state that outlives one analysis, no cap or
+cache outside the analysis's budget, no invariant check that `python -O`
+can strip, and no name the engine never calls unless it is a declared
+entry point or reference route."""
 
 import ast
 import importlib.util
@@ -48,17 +49,82 @@ def test_no_memoizing_decorators():
     assert found == []
 
 
-def test_no_module_level_dicts():
-    def is_dict(value):
-        return isinstance(value, (ast.Dict, ast.DictComp)) or (
-            isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("dict", "defaultdict")
-        )
+def _is_dict(value):
+    return isinstance(value, (ast.Dict, ast.DictComp)) or (
+        isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("dict", "defaultdict")
+    )
 
+
+def test_no_module_level_dicts():
     found = [
         f"{name}:{node.lineno}"
         for name, tree in _modules()
         for node in tree.body
-        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and is_dict(node.value)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and _is_dict(node.value)
+    ]
+    assert found == []
+
+
+def test_budgets_and_bounds_are_required():
+    # a defaulted budget or bound would let a search run under caps or
+    # caches that its analysis did not state
+    found = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [
+                f"{name}:{node.lineno}:{node.name}({a.arg})"
+                for a in defaulted
+                if a.arg in ("budget", "sweep_bound", "degree_cap", "wide_bound")
+            ]
+    assert found == []
+
+
+def test_only_the_analysis_builds_a_budget():
+    def builds_budget(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Budget"
+
+    trees = dict(_modules())
+    analysis = next(n for n in trees["pipeline.py"].body if getattr(n, "name", None) == "Analysis")
+    init = next(n for n in analysis.body if getattr(n, "name", None) == "__init__")
+    inside = {id(n) for n in ast.walk(init) if builds_budget(n)}
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if builds_budget(node) and id(node) not in inside
+    ]
+    assert found == [] and len(inside) == 1
+
+
+def test_only_the_budget_holds_memo_tables():
+    def holds_dict(node):
+        if isinstance(node, ast.Call):  # field(default_factory=dict)
+            return any(
+                k.arg == "default_factory" and getattr(k.value, "id", None) in ("dict", "defaultdict")
+                for k in node.keywords
+            )
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):  # self.x = {} / self.x: dict = ...
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            on_self = any(
+                isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "self" for t in targets
+            )
+            annotated = isinstance(node, ast.AnnAssign) and "dict" in ast.unparse(node.annotation)
+            return on_self and (annotated or (node.value is not None and _is_dict(node.value)))
+        return False
+
+    found = [
+        f"{name}:{node.lineno}:{cls.name}"
+        for name, tree in _modules()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name != "Budget"
+        for node in ast.walk(cls)
+        if holds_dict(node)
     ]
     assert found == []
 
