@@ -322,6 +322,12 @@ def main(argv=None) -> int:
     parser.add_argument("--oracle-only", dest="oracle_only", action="store_true")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON report")
     parser.add_argument("--timing", action="store_true", help="include wall-clock timing")
+    # argparse reads a value with a leading minus sign as an option, so
+    # `--chi -1,0` is passed on as `--chi=-1,0`
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--chi" and not argv[i + 1].startswith("--"):
+            argv[i : i + 2] = [f"--chi={argv[i + 1]}"]
     args = parser.parse_args(argv)
 
     try:

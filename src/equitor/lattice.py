@@ -485,8 +485,10 @@ def _fm_eliminate(
 def rational_shifted_cone_nonempty(x0: Vec, cols: list[Vec]) -> bool:
     """Is {y rational : x0 + cols*y >= 0 componentwise} nonempty?
 
-    Reference route for the emptiness that `coset_orthant_search` detects in
-    its first projection: the full elimination leaves only constant rows."""
+    The full elimination leaves only constant rows.  `weight_unit_lattice`
+    decides each unit weight with it (a Farkas test), and it is the
+    reference route for the emptiness that `coset_orthant_search` detects
+    in its first projection."""
     cons = _fm_eliminate(_cone_constraints(x0, cols), len(cols))
     return all(const >= 0 for _coeff, const in cons)
 

@@ -148,23 +148,33 @@ class Analysis:
         return self.connected_action is not self.input_action
 
     @cached_property
+    def input_units(self) -> SubgroupOfA:
+        """The unit weights of the connected action."""
+        act = self.connected_action
+        return SubgroupOfA(act, weight_unit_lattice(build_semigroup(act, self.budget), act))
+
+    @cached_property
     def input_stable(self) -> bool:
         act = self.connected_action
-        return is_stable(build_semigroup(act, self.budget), act, self.budget)
+        return is_stable(build_semigroup(act, self.budget), act, self.input_units)
+
+    @cached_property
+    def _stabilized(self) -> tuple[WeightedAction, SubgroupOfA]:
+        """The stabilized action with its unit weights, each computed once."""
+        act = self.connected_action
+        if self.input_stable:
+            return act, self.input_units
+        reduced = quotient_action(act, perp(self.input_units))
+        S2 = build_semigroup(reduced, self.budget)
+        units = SubgroupOfA(reduced, weight_unit_lattice(S2, reduced))
+        if not is_stable(S2, reduced, units):
+            raise InvariantViolationError("stability reduction did not stabilize")
+        return reduced, units
 
     @cached_property
     def action(self) -> WeightedAction:
         """The stabilized, effectively connected action all verdicts refer to."""
-        act = self.connected_action
-        if self.input_stable:
-            return act
-        S = build_semigroup(act, self.budget)
-        units = SubgroupOfA(act, weight_unit_lattice(S, act, self.budget))
-        reduced = quotient_action(act, perp(units))
-        S2 = build_semigroup(reduced, self.budget)
-        if not is_stable(S2, reduced, self.budget):
-            raise InvariantViolationError("stability reduction did not stabilize")
-        return reduced
+        return self._stabilized[0]
 
     @cached_property
     def ctx(self) -> DivisorContext:
@@ -179,9 +189,9 @@ class Analysis:
 
     # -- group theory of the stabilized action ------------------------------
 
-    @cached_property
+    @property
     def units(self) -> SubgroupOfA:
-        return SubgroupOfA(self.action, weight_unit_lattice(self.ctx.S, self.action, self.budget))
+        return self._stabilized[1]
 
     @property
     def kernel(self) -> SubgroupOfG:

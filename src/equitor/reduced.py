@@ -99,7 +99,7 @@ def reduced_class_groups(
     act = ctx.action
     basis = qualified.basis_chars()
     chars = sweep_chars(act, basis, sweep_bound)
-    div_cols: list[Vec] = []
+    div_cols: dict[Vec, Vec] = {}  # swept character -> its divisor's coefficients
     mod_cols: list[Vec] = []
     div_orders: list[int | None] = []
     mod_orders: list[int | None] = []
@@ -121,26 +121,26 @@ def reduced_class_groups(
             infinite = chi
         div_orders.append(d_ord)
         mod_orders.append(m_ord)
-        div_cols.append(D.coeffs)
+        div_cols[chi] = D.coeffs
         mod_cols.append(M.coeffs)
 
-    div_factors = quotient_structure(div_cols, ctx.cl_R.presentation)
+    div_factors = quotient_structure(list(div_cols.values()), ctx.cl_R.presentation)
     mod_factors = quotient_structure(mod_cols, ctx.cl_RG.presentation)
     div_exp = _exponent_from_orders(div_orders)
     mod_exp = _exponent_from_orders(mod_orders)
     if div_exp is not None and mod_exp is not None and div_exp != mod_exp:
         raise InvariantViolationError("finite exponents of the two sides disagree")
 
-    exact = _envelope_certificate(ctx, basis, div_cols)
+    def divisor_coeffs(chi: Vec) -> Vec:
+        return div_cols[chi] if chi in div_cols else ctx.char_divisor(chi).coeffs
+
+    basis_cols = [divisor_coeffs(chi) for chi in basis]
+    exact = _envelope_certificate(ctx, basis_cols, list(div_cols.values()))
 
     stable = True
     if not exact:
         wide = sweep_chars(act, basis, sweep_bound + 1)
-        wide_cols = []
-        for chi in wide:
-            if chi == act.zero_char:
-                continue
-            wide_cols.append(ctx.char_divisor(chi).coeffs)
+        wide_cols = [divisor_coeffs(chi) for chi in wide if chi != act.zero_char]
         stable = quotient_structure(wide_cols, ctx.cl_R.presentation) == div_factors
 
     return ReducedClassData(
@@ -164,7 +164,9 @@ def _exponent_from_orders(orders: list[int | None]) -> int | None:
     return out
 
 
-def _envelope_certificate(ctx: DivisorContext, basis: list[Vec], div_cols: list[Vec]) -> bool:
+def _envelope_certificate(
+    ctx: DivisorContext, basis_cols: list[Vec], div_cols: list[Vec]
+) -> bool:
     """True when the swept subgroup provably equals the full generated group.
 
     Character divisors are additive modulo the ramification lattice, so the
@@ -173,7 +175,6 @@ def _envelope_certificate(ctx: DivisorContext, basis: list[Vec], div_cols: list[
     envelope and sweep pins it down.
     """
     rel = ctx.cl_R.presentation
-    basis_cols = [ctx.char_divisor(chi).coeffs for chi in basis if chi != ctx.action.zero_char]
     ram_cols = list(ctx.cls.ramification_lattice.basis)
     nf = ctx.S.facet_count
     envelope = Sublattice.from_columns(basis_cols + ram_cols + list(rel.basis), nf)

@@ -6,6 +6,11 @@ Hilbert bases and integer feasibility are computed by a completion solver
 coordinate hyperplanes, which support every facet because the cone is the
 intersection of an orthant with a subspace.
 
+The unit weights (characters realized with both signs) are a rational
+question: `weight_unit_lattice` decides each Hilbert-basis weight by a
+Farkas test on the free parts of the Hilbert-basis weights, with no fiber
+search.  `paired_unit_lattice` stays as the independent integer route.
+
 A fiber query (`fiber_sample`) has one decision path.  Its congruence,
 weight and bound rows are lifted to equations over slack variables, and a
 zero right-hand side is answered by the origin.  One Smith solve gives a
@@ -44,6 +49,7 @@ from .lattice import (
     FOUND,
     coset_orthant_search,
     matrix_rank,
+    rational_shifted_cone_nonempty,
     solve_diophantine,
 )
 
@@ -546,22 +552,34 @@ def enumerate_fiber(
     return list(slices.get(action.reduce_char(chi), ()))
 
 
-def weight_unit_lattice(S: AffineSemigroup, action: WeightedAction, budget: Budget) -> Sublattice:
+def weight_unit_lattice(S: AffineSemigroup, action: WeightedAction) -> Sublattice:
     """Subgroup of the character group of weights realized with both signs.
 
-    A Hilbert-basis weight w is a unit iff -w is realized; the units form a
-    subgroup generated by the qualifying basis weights.
+    The units form a subgroup generated by the unit Hilbert-basis weights,
+    and whether wt(h_j) is a unit is a rational question on the free parts
+    f_i of the raw weights (torsion dropped): wt(h_j) is a unit iff -f_j
+    lies in cone(f_1..f_m).  (=>) An element of weight -wt(h_j) is a
+    nonnegative combination of the h_i.  (<=) From N*(-f_j) = sum mu_i f_i
+    with integers mu_i >= 0, and e the lcm of the torsion moduli, M = N*e,
+    the element sum e*mu_i*h_i + (M-1)*h_j has weight exactly -wt(h_j).
+    By Farkas' lemma the cone test is the emptiness of {y : y . f_i >= 0
+    for all i, y . f_j >= 1}, which one Fourier-Motzkin pass decides.
     """
+    r = action.free_rank
+    free_parts = [action.raw_weight(h)[:r] for h in S.hilbert_basis]
+    # the rows y . f_i >= 0 for every i, then the row y . f_j - 1 >= 0
+    cols = [tuple(f[k] for f in free_parts) for k in range(r)]
+    x0 = (0,) * len(free_parts) + (-1,)
     gens = []
     seen = set()
-    for h in S.hilbert_basis:
+    for h, f in zip(S.hilbert_basis, free_parts):
         w = action.weight_of(h)
         if w in seen:
             continue
         seen.add(w)
         if w == action.zero_char:
             continue
-        if fiber_sample(action, action.char_neg(w), budget=budget) is not None:
+        if not rational_shifted_cone_nonempty(x0, [c + (fk,) for c, fk in zip(cols, f)]):
             gens.append(action.raw_weight(h))
     rel = action.relation_lattice()
     return Sublattice.from_columns(gens + list(rel.basis), action.char_length)

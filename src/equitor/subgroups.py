@@ -16,7 +16,6 @@ from .errors import InputError, InvariantViolationError
 from .lattice import QuotientGroup, Sublattice, quotient_structure
 from .semigroup import (
     AffineSemigroup,
-    Budget,
     FacetPrime,
     Vec,
     WeightedAction,
@@ -222,9 +221,10 @@ def invariant_action(action: WeightedAction) -> WeightedAction:
     return quotient_action(action, whole_group(action))
 
 
-def is_stable(S: AffineSemigroup, action: WeightedAction, budget: Budget) -> bool:
-    units = weight_unit_lattice(S, action, budget)
-    return all(units.contains(action.raw_weight(h)) for h in S.hilbert_basis)
+def is_stable(S: AffineSemigroup, action: WeightedAction, units: SubgroupOfA) -> bool:
+    """Is every Hilbert-basis weight a unit?  `units` is the action's unit
+    weight group, `weight_unit_lattice(S, action)`."""
+    return all(units.lattice.contains(action.raw_weight(h)) for h in S.hilbert_basis)
 
 
 def pseudo_reflection_group(
@@ -287,10 +287,9 @@ def derived_subgroups(
     action: WeightedAction,
     qualified: SubgroupOfA,
     two_sided: SubgroupOfA,
-    budget: Budget,
 ) -> dict[str, SubgroupOfG]:
     """The kernels cut out by the unit, qualified, and two-sided weight groups."""
-    units = SubgroupOfA(action, weight_unit_lattice(S, action, budget))
+    units = SubgroupOfA(action, weight_unit_lattice(S, action))
     out = {
         "stability_kernel": perp(units),
         "qualified_kernel": perp(qualified),

@@ -72,6 +72,17 @@ def test_schema_round_trip():
     assert action1 == action2
 
 
+@pytest.mark.parametrize("command", ["dchi", "free"])
+def test_negative_character_in_both_spellings(command):
+    # argparse reads "-1,0" as an option unless it is joined to --chi
+    fx = str(FIXTURES / "example_5_7.json")
+    spaced = run_cli(command, fx, "--chi", "-1,0")
+    joined = run_cli(command, fx, "--chi=-1,0")
+    assert (spaced.returncode, joined.returncode) == (0, 0), spaced.stderr
+    assert spaced.stdout == joined.stdout
+    assert json.loads(spaced.stdout)["chi"] == [-1, 0]
+
+
 def test_dchi_and_free():
     rep = run_json("dchi", str(FIXTURES / "example_5_8.json"), "--chi", "0,1")
     assert rep["coefficients"] == [1, 0, 0]

@@ -2,11 +2,11 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equitor.errors import CappedComputationError, InputError
-from equitor.lattice import matrix_rank
+from equitor.lattice import Sublattice, matrix_rank
 from equitor.semigroup import (
     Budget,
     WeightedAction,
@@ -232,15 +232,15 @@ def test_fiber_avoids_prime_vs_enumeration(fx58):
 def test_weight_unit_group_trivial_and_positive():
     triv = polynomial_action(3)
     S = build_semigroup(triv, Budget())
-    assert weight_unit_lattice(S, triv, Budget()).rank == 0
+    assert weight_unit_lattice(S, triv).rank == 0
     scal = scaling_action()
     Ss = build_semigroup(scal, Budget())
-    assert weight_unit_lattice(Ss, scal, Budget()).rank == 0  # strictly positive grading
+    assert weight_unit_lattice(Ss, scal).rank == 0  # strictly positive grading
 
 
 def test_weight_unit_group_5_8(fx58):
     S = build_semigroup(fx58, Budget())
-    units = weight_unit_lattice(S, fx58, Budget())
+    units = weight_unit_lattice(S, fx58)
     assert units.contains((0, 1))
     assert not units.contains((1, 0))
     assert units.rank == 1
@@ -248,14 +248,59 @@ def test_weight_unit_group_5_8(fx58):
 
 def test_weight_unit_group_5_7_full(fx57):
     S = build_semigroup(fx57, Budget())
-    units = weight_unit_lattice(S, fx57, Budget())
+    units = weight_unit_lattice(S, fx57)
     assert units.contains((1, 0)) and units.contains((0, 1))
 
 
 def test_weight_unit_group_matches_paired_system(fx57, fx58):
     for action in (fx57, fx58, ambient_torus_action(), polynomial_action(2)):
         S = build_semigroup(action, Budget())
-        assert weight_unit_lattice(S, action, Budget()) == paired_unit_lattice(S, action, Budget())
+        assert weight_unit_lattice(S, action) == paired_unit_lattice(S, action, Budget())
+
+
+def _fiber_search_units(S, action, budget):
+    """Unit weights by one fiber search for -w per Hilbert-basis weight w."""
+    gens = [
+        action.raw_weight(h)
+        for h in S.hilbert_basis
+        if fiber_sample(action, action.char_neg(action.weight_of(h)), budget=budget) is not None
+    ]
+    rel = action.relation_lattice()
+    return Sublattice.from_columns(gens + list(rel.basis), action.char_length)
+
+
+@st.composite
+def small_actions(draw):
+    n = draw(st.integers(1, 3))
+    free_rank = draw(st.integers(0, 2))
+    torsion = tuple(draw(st.lists(st.integers(2, 3), max_size=1)))
+    k = free_rank + len(torsion)
+    weights = tuple(tuple(draw(st.integers(-2, 2)) for _ in range(k)) for _ in range(n))
+    congruences = tuple(
+        (tuple(draw(st.integers(-2, 2)) for _ in range(n)), draw(st.sampled_from([0, 2, 3])))
+        for _ in range(draw(st.integers(0, 1)))
+    )
+    return WeightedAction(n, free_rank, torsion, weights, congruences)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_actions())
+@example(WeightedAction(2, 0, (3,), ((1,), (2,))))  # free rank 0, torsion only
+@example(WeightedAction(3, 1, (), ((1,), (-1,), (0,))))  # a zero free part
+@example(WeightedAction(3, 1, (2,), ((1, 1), (-1, 0), (0, 1)), (((1, 1, 0), 0),)))  # m = 0
+@example(WeightedAction(4, 2, (), ((1, 0), (-1, 0), (0, 1), (0, -1)), (((1, 1, -1, -1), 3),)))
+@example(WeightedAction(3, 2, (), ((1, 0), (0, 1), (1, 1))))  # no unit weight
+@example(WeightedAction(3, 2, (3,), ((1, 0, 1), (-1, 0, 0), (0, 0, 2)), (((1, 0, 1), 2),)))
+def test_weight_unit_lattice_matches_the_fiber_search(action):
+    budget = Budget(max_norm=32, max_nodes=20000)
+    try:
+        S = build_semigroup(action, budget)
+        fiber_route = _fiber_search_units(S, action, budget)
+        paired = paired_unit_lattice(S, action, budget)
+    except CappedComputationError:
+        assume(False)
+    units = weight_unit_lattice(S, action)
+    assert units == fiber_route == paired
 
 
 def test_action_validation():

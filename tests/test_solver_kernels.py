@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 from equitor.cli import analyze_report, parse_input
 from equitor.errors import CappedComputationError
 from equitor.pipeline import Analysis
-from equitor.semigroup import Budget, WeightedAction, _weight_slices, minimal_nonneg_solutions
+from equitor.semigroup import (
+    Budget,
+    WeightedAction,
+    _weight_slices,
+    build_semigroup,
+    minimal_nonneg_solutions,
+)
+from equitor.subgroups import perp, quotient_action
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -105,8 +112,8 @@ def _fixture_analysis(name, **changes):
 @pytest.mark.parametrize(
     "name, nodes, norm_reached",
     [
-        ("example_5_7", 17113, 28),
-        ("example_5_8", 916, 18),
+        ("example_5_7", 16876, 28),
+        ("example_5_8", 862, 18),
         ("polynomial_ring", 0, 0),
         ("scaling_torus", 0, 1),
     ],
@@ -115,6 +122,23 @@ def test_solver_work_counters_are_pinned(name, nodes, norm_reached):
     an = _fixture_analysis(name)
     analyze_report(an)
     assert (an.budget.nodes, an.budget.norm_reached) == (nodes, norm_reached)
+
+
+@pytest.mark.parametrize("name", ["example_5_7", "example_5_8", "polynomial_ring", "scaling_torus"])
+def test_unit_weights_run_no_search(name):
+    # once the semigroups are built, the stability decision and the
+    # stabilization touch neither the solver nor the fiber memo
+    an = _fixture_analysis(name)
+    act = an.connected_action
+    build_semigroup(act, an.budget)
+    before = (an.budget.nodes, dict(an.budget.fibers))
+    assert an.input_stable == (name != "scaling_torus")
+    assert (an.budget.nodes, an.budget.fibers) == before
+    if not an.input_stable:
+        build_semigroup(quotient_action(act, perp(an.input_units)), an.budget)
+        before = (an.budget.nodes, dict(an.budget.fibers))
+    an.units
+    assert (an.budget.nodes, an.budget.fibers) == before
 
 
 def test_candidate_cap_boundary_on_5_8():

@@ -129,8 +129,8 @@ def test_reflection_group_scaling_torus_after_reduction():
     # where the whole group acts ineffectively
     act = scaling_action()
     S = build_semigroup(act, Budget())
-    assert not is_stable(S, act, Budget())
-    units = SubgroupOfA(act, weight_unit_lattice(S, act, Budget()))
+    units = SubgroupOfA(act, weight_unit_lattice(S, act))
+    assert not is_stable(S, act, units)
     reduced = quotient_action(act, perp(units))
     S2 = build_semigroup(reduced, Budget())
     ctx = DivisorContext(reduced, Budget())
@@ -230,7 +230,7 @@ def test_quotient_of_ambient_reproduces_5_7():
 def test_stability(fx57, fx58):
     for act, expect in ((fx57, True), (fx58, True), (scaling_action(), False)):
         S = build_semigroup(act, Budget())
-        assert is_stable(S, act, Budget()) == expect
+        assert is_stable(S, act, SubgroupOfA(act, weight_unit_lattice(S, act))) == expect
 
 
 def test_pairing_lemma_on_fixtures(fx57, fx58):
@@ -239,12 +239,12 @@ def test_pairing_lemma_on_fixtures(fx57, fx58):
     rng = random.Random(6)
     for act in (fx57, fx58):
         S = build_semigroup(act, Budget())
-        units = SubgroupOfA(act, weight_unit_lattice(S, act, Budget()))
+        units = SubgroupOfA(act, weight_unit_lattice(S, act))
         for _ in range(6):
             B = random_subgroup(act, rng)
             sub = quotient_action(act, perp(B))
             S_sub = build_semigroup(sub, Budget())
-            sub_units = SubgroupOfA(act, weight_unit_lattice(S_sub, act, Budget()))
+            sub_units = SubgroupOfA(act, weight_unit_lattice(S_sub, act))
             assert sub_units == units.intersect(B)
 
 
@@ -271,11 +271,11 @@ def test_derived_subgroups():
 
     for act in (action_5_7(), action_5_8()):
         ctx = DivisorContext(act, Budget())
-        units = SubgroupOfA(act, weight_unit_lattice(ctx.S, act, ctx.budget))
+        units = SubgroupOfA(act, weight_unit_lattice(ctx.S, act))
         assert ctx.cls.no_blowing_up
         # both fixtures have trivial reflection restriction, so the qualified
         # lattice is the full unit-weight group
-        got = derived_subgroups(ctx.S, act, units, units, ctx.budget)
+        got = derived_subgroups(ctx.S, act, units, units)
         L = ineffective_kernel(ctx.S, act)
         # the stability kernel acts trivially (the actions are stable)
         assert restriction_data(got["stability_kernel"], L).order == 1
@@ -286,8 +286,8 @@ def test_derived_subgroups():
 
     act = polynomial_action(2)
     ctx = DivisorContext(act, Budget())
-    units = SubgroupOfA(act, weight_unit_lattice(ctx.S, act, ctx.budget))
-    got = derived_subgroups(ctx.S, act, units, units, ctx.budget)
+    units = SubgroupOfA(act, weight_unit_lattice(ctx.S, act))
+    got = derived_subgroups(ctx.S, act, units, units)
     for H in got.values():
         assert H.is_whole_group()  # the trivial group's only subgroup
 

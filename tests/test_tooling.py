@@ -141,7 +141,6 @@ KEPT_WITHOUT_ENGINE_CALLER = {
     "t_consistency_check": "wide-sweep route to certified_exponent",
     "corollary_consistency": "cofree iff the obstruction restricts trivially (acceptance 6)",
     "derived_subgroups": "kernels of the unit and qualified weight groups, checked for inclusion",
-    "rational_shifted_cone_nonempty": "full-elimination route to the coset search's emptiness test",
     # checks on engine results that the tests state through the public API
     "class_order": "exact class order that acceptance 7 sets against the brute force",
     "principal_facet_flags": "upstairs principality, set against obstructing_facet_flags",
