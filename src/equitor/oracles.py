@@ -1,7 +1,8 @@
 """Brute-force ground truth, deliberately naive and independent of the
 divisor-theoretic path: null-fiber dimension by face enumeration, bounded
-module freeness by degree slices, and divisor class orders by direct
-diophantine solves."""
+module freeness by degree slices, divisor class orders by direct
+diophantine solves, and unit weights by the Hilbert basis of a paired
+system."""
 
 from __future__ import annotations
 
@@ -16,7 +17,9 @@ from .semigroup import (
     Vec,
     WeightedAction,
     enumerate_fiber,
+    hilbert_basis,
 )
+from .subgroups import SubgroupOfA
 
 YES = "yes"
 NO = "no"
@@ -131,3 +134,18 @@ def brute_force_class_order(
             if all(c == 0 for c in target):
                 return m
     return None
+
+
+def paired_unit_lattice(action: WeightedAction, budget: Budget) -> SubgroupOfA:
+    """Unit-weight subgroup from the paired system {(a,b): wt(a) + wt(b) = 0}:
+    the weights of the first halves of its Hilbert basis generate the units.
+    Reference route for `weight_unit_lattice`."""
+    n = action.ambient_dim
+    congs = []
+    for coeffs, m in action.congruences:
+        congs.append((tuple(coeffs) + (0,) * n, m))
+        congs.append(((0,) * n + tuple(coeffs), m))
+    for coeffs, m in action.weight_rows():
+        congs.append((tuple(coeffs) + tuple(coeffs), m))
+    pairs = hilbert_basis(tuple(congs), 2 * n, budget)
+    return SubgroupOfA.generated_by(action, [action.raw_weight(p[:n]) for p in pairs])

@@ -36,7 +36,6 @@ from .semigroup import (
     Vec,
     WeightedAction,
     build_semigroup,
-    weight_unit_lattice,
 )
 from .subgroups import (
     FiniteAbelianData,
@@ -48,6 +47,7 @@ from .subgroups import (
     quotient_action,
     restriction_data,
     tor_subgroup,
+    weight_unit_lattice,
 )
 
 UNKNOWN = "unknown-capped"
@@ -151,7 +151,7 @@ class Analysis:
     def input_units(self) -> SubgroupOfA:
         """The unit weights of the connected action."""
         act = self.connected_action
-        return SubgroupOfA(act, weight_unit_lattice(build_semigroup(act, self.budget), act))
+        return weight_unit_lattice(build_semigroup(act, self.budget).hilbert_basis, act)
 
     @cached_property
     def input_stable(self) -> bool:
@@ -166,7 +166,7 @@ class Analysis:
             return act, self.input_units
         reduced = quotient_action(act, perp(self.input_units))
         S2 = build_semigroup(reduced, self.budget)
-        units = SubgroupOfA(reduced, weight_unit_lattice(S2, reduced))
+        units = weight_unit_lattice(S2.hilbert_basis, reduced)
         if not is_stable(S2, reduced, units):
             raise InvariantViolationError("stability reduction did not stabilize")
         return reduced, units

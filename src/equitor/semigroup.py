@@ -6,11 +6,6 @@ Hilbert bases and integer feasibility are computed by a completion solver
 coordinate hyperplanes, which support every facet because the cone is the
 intersection of an orthant with a subspace.
 
-The unit weights (characters realized with both signs) are a rational
-question: `weight_unit_lattice` decides each Hilbert-basis weight by a
-Farkas test on the free parts of the Hilbert-basis weights, with no fiber
-search.  `paired_unit_lattice` stays as the independent integer route.
-
 A fiber query (`fiber_sample`) has one decision path.  Its congruence,
 weight and bound rows are lifted to equations over slack variables, and a
 zero right-hand side is answered by the origin.  One Smith solve gives a
@@ -49,7 +44,6 @@ from .lattice import (
     FOUND,
     coset_orthant_search,
     matrix_rank,
-    rational_shifted_cone_nonempty,
     solve_diophantine,
 )
 
@@ -132,9 +126,6 @@ class WeightedAction:
 
     def char_add(self, a: Vec, b: Vec) -> Vec:
         return self.reduce_char(tuple(x + y for x, y in zip(a, b)))
-
-    def char_neg(self, a: Vec) -> Vec:
-        return self.reduce_char(tuple(-x for x in a))
 
     def char_scale(self, m: int, a: Vec) -> Vec:
         return self.reduce_char(tuple(m * x for x in a))
@@ -550,55 +541,3 @@ def enumerate_fiber(
     if slices is None:
         slices = budget.slices[key] = _weight_slices(action, degree_cap)
     return list(slices.get(action.reduce_char(chi), ()))
-
-
-def weight_unit_lattice(S: AffineSemigroup, action: WeightedAction) -> Sublattice:
-    """Subgroup of the character group of weights realized with both signs.
-
-    The units form a subgroup generated by the unit Hilbert-basis weights,
-    and whether wt(h_j) is a unit is a rational question on the free parts
-    f_i of the raw weights (torsion dropped): wt(h_j) is a unit iff -f_j
-    lies in cone(f_1..f_m).  (=>) An element of weight -wt(h_j) is a
-    nonnegative combination of the h_i.  (<=) From N*(-f_j) = sum mu_i f_i
-    with integers mu_i >= 0, and e the lcm of the torsion moduli, M = N*e,
-    the element sum e*mu_i*h_i + (M-1)*h_j has weight exactly -wt(h_j).
-    By Farkas' lemma the cone test is the emptiness of {y : y . f_i >= 0
-    for all i, y . f_j >= 1}, which one Fourier-Motzkin pass decides.
-    """
-    r = action.free_rank
-    free_parts = [action.raw_weight(h)[:r] for h in S.hilbert_basis]
-    # the rows y . f_i >= 0 for every i, then the row y . f_j - 1 >= 0
-    cols = [tuple(f[k] for f in free_parts) for k in range(r)]
-    x0 = (0,) * len(free_parts) + (-1,)
-    gens = []
-    seen = set()
-    for h, f in zip(S.hilbert_basis, free_parts):
-        w = action.weight_of(h)
-        if w in seen:
-            continue
-        seen.add(w)
-        if w == action.zero_char:
-            continue
-        if not rational_shifted_cone_nonempty(x0, [c + (fk,) for c, fk in zip(cols, f)]):
-            gens.append(action.raw_weight(h))
-    rel = action.relation_lattice()
-    return Sublattice.from_columns(gens + list(rel.basis), action.char_length)
-
-
-def paired_unit_lattice(S: AffineSemigroup, action: WeightedAction, budget: Budget) -> Sublattice:
-    """Unit-weight subgroup from the paired system {(a,b): wt(a) + wt(b) = 0}.
-
-    Independent route kept as an oracle for weight_unit_lattice.
-    """
-    n = action.ambient_dim
-    congs = []
-    for coeffs, m in action.congruences:
-        congs.append((tuple(coeffs) + (0,) * n, m))
-        congs.append(((0,) * n + tuple(coeffs), m))
-    for coeffs, m in action.weight_rows():
-        congs.append((tuple(coeffs) + tuple(coeffs), m))
-    rows, total, _ = _lift_system(tuple(congs), 2 * n)
-    sols = minimal_nonneg_solutions(rows, total, budget)
-    gens = [action.raw_weight(s[:n]) for s in sols]
-    rel = action.relation_lattice()
-    return Sublattice.from_columns(gens + list(rel.basis), action.char_length)

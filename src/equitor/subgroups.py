@@ -13,14 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, InvariantViolationError
-from .lattice import QuotientGroup, Sublattice, quotient_structure
-from .semigroup import (
-    AffineSemigroup,
-    FacetPrime,
-    Vec,
-    WeightedAction,
-    weight_unit_lattice,
-)
+from .lattice import QuotientGroup, Sublattice, quotient_structure, rational_shifted_cone_nonempty
+from .semigroup import AffineSemigroup, FacetPrime, Vec, WeightedAction
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,6 +155,36 @@ def inertia_subgroup(
     return SubgroupOfG(SubgroupOfA.generated_by(action, gens))
 
 
+def weight_unit_lattice(generators: tuple[Vec, ...], action: WeightedAction) -> SubgroupOfA:
+    """Characters realized with both signs by the monoid that `generators`
+    generate: the Hilbert basis of S, or the face generators of a facet.
+
+    The units of a monoid generated by h_1..h_m form the group generated by
+    the unit wt(h_j), and whether wt(h_j) is a unit is a rational question
+    on the free parts f_i of the raw weights (torsion dropped): wt(h_j) is
+    a unit iff -f_j lies in cone(f_1..f_m).  (=>) An element of weight
+    -wt(h_j) is a nonnegative combination of the h_i.  (<=) From
+    N*(-f_j) = sum mu_i f_i with integers mu_i >= 0, and e the lcm of the
+    torsion moduli, M = N*e, the element sum e*mu_i*h_i + (M-1)*h_j has
+    weight exactly -wt(h_j).  Both directions use only nonnegative integer
+    combinations of the generators, so they hold for any generating set.
+    By Farkas' lemma the cone test is the emptiness of {y : y . f_i >= 0
+    for all i, y . f_j >= 1}, which one Fourier-Motzkin pass decides.
+    """
+    r = action.free_rank
+    free_parts = {action.weight_of(h): action.raw_weight(h)[:r] for h in generators}
+    # the rows y . f >= 0 for every free part f, then the row y . f_j - 1 >= 0
+    cols = [tuple(f[k] for f in free_parts.values()) for k in range(r)]
+    x0 = (0,) * len(free_parts) + (-1,)
+    units = [
+        w
+        for w, f in free_parts.items()
+        if w != action.zero_char
+        and not rational_shifted_cone_nonempty(x0, [c + (fk,) for c, fk in zip(cols, f)])
+    ]
+    return SubgroupOfA.generated_by(action, units)
+
+
 def tor_subgroup(m: int, H: SubgroupOfG) -> SubgroupOfG:
     """{sigma : sigma^m in H}; dually the annihilator is m * B_H."""
     if m < 1:
@@ -223,7 +247,7 @@ def invariant_action(action: WeightedAction) -> WeightedAction:
 
 def is_stable(S: AffineSemigroup, action: WeightedAction, units: SubgroupOfA) -> bool:
     """Is every Hilbert-basis weight a unit?  `units` is the action's unit
-    weight group, `weight_unit_lattice(S, action)`."""
+    weight group, `weight_unit_lattice(S.hilbert_basis, action)`."""
     return all(units.lattice.contains(action.raw_weight(h)) for h in S.hilbert_basis)
 
 
@@ -289,7 +313,7 @@ def derived_subgroups(
     two_sided: SubgroupOfA,
 ) -> dict[str, SubgroupOfG]:
     """The kernels cut out by the unit, qualified, and two-sided weight groups."""
-    units = SubgroupOfA(action, weight_unit_lattice(S, action))
+    units = weight_unit_lattice(S.hilbert_basis, action)
     out = {
         "stability_kernel": perp(units),
         "qualified_kernel": perp(qualified),

@@ -83,7 +83,7 @@ def test_bounded_freeness_agrees_with_divisor_test(fx57, fx58):
         for h in ctx.S.hilbert_basis:
             w = act.weight_of(h)
             chars.add(w)
-            chars.add(act.char_neg(w))
+            chars.add(act.char_scale(-1, w))
             chars.add(act.char_scale(2, w))
         for chi in sorted(chars):
             verdict = bounded_freeness_oracle(ctx.S_G, act, chi, 12, ctx.budget)

@@ -258,13 +258,28 @@ def test_corpus_smoke():
     assert done >= 20
 
 
-@pytest.mark.parametrize("cap", [48, 64])
+@pytest.mark.parametrize("cap", [32, 48])
 def test_solver_norm_cap_is_applied_as_stated(cap):
-    # orthant pool #378: every fiber search must run under the stated cap
-    act = WeightedAction(5, 2, (), ((3, 0), (3, -2), (1, -3), (-3, 2), (-2, -3)), ())
+    # corpus pool #201 caps in a fiber search's completion fallback at every
+    # depth from 24 to 48 (and decides at 56): every fiber search must run
+    # under the stated cap
+    weights = ((0, 2), (3, 2), (0, -2), (-1, -2), (0, 2))
+    act = WeightedAction(5, 2, (), weights, (((3, 1, -1, 2, 1), 2),))
     with pytest.raises(CappedComputationError) as err:
         Analysis(act, Options(solver_norm_cap=cap)).verdict
     assert err.value.cap == cap
+
+
+def test_orthant_378_decides():
+    # its depth cap fired in the deep-facet fiber searches of the qualified
+    # lattice, which is now lattice arithmetic
+    act = WeightedAction(5, 2, (), ((3, 0), (3, -2), (1, -3), (-3, 2), (-2, -3)), ())
+    an = Analysis(act)
+    v = an.verdict
+    assert (v.equidimensional, v.cofree) == ("no", "no")
+    assert an.exponent_with_provenance == (1, "exact")
+    assert an.reduced.divisor_side_factors == an.reduced.module_side_factors == ()
+    assert v.oracle_agrees
 
 
 def test_primary_part_raises_when_it_does_not_stabilise():

@@ -1,12 +1,13 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equitor.errors import CappedComputationError, InputError
-from equitor.lattice import Sublattice, matrix_rank
+from equitor.lattice import matrix_rank
 from equitor.semigroup import (
     Budget,
     WeightedAction,
@@ -14,9 +15,9 @@ from equitor.semigroup import (
     enumerate_fiber,
     fiber_sample,
     hilbert_basis,
-    paired_unit_lattice,
-    weight_unit_lattice,
 )
+from equitor.oracles import paired_unit_lattice
+from equitor.subgroups import SubgroupOfA, weight_unit_lattice
 from conftest import (
     action_5_7,
     action_5_8,
@@ -232,15 +233,15 @@ def test_fiber_avoids_prime_vs_enumeration(fx58):
 def test_weight_unit_group_trivial_and_positive():
     triv = polynomial_action(3)
     S = build_semigroup(triv, Budget())
-    assert weight_unit_lattice(S, triv).rank == 0
+    assert weight_unit_lattice(S.hilbert_basis, triv).lattice.rank == 0
     scal = scaling_action()
     Ss = build_semigroup(scal, Budget())
-    assert weight_unit_lattice(Ss, scal).rank == 0  # strictly positive grading
+    assert weight_unit_lattice(Ss.hilbert_basis, scal).lattice.rank == 0  # positive grading
 
 
 def test_weight_unit_group_5_8(fx58):
     S = build_semigroup(fx58, Budget())
-    units = weight_unit_lattice(S, fx58)
+    units = weight_unit_lattice(S.hilbert_basis, fx58).lattice
     assert units.contains((0, 1))
     assert not units.contains((1, 0))
     assert units.rank == 1
@@ -248,14 +249,14 @@ def test_weight_unit_group_5_8(fx58):
 
 def test_weight_unit_group_5_7_full(fx57):
     S = build_semigroup(fx57, Budget())
-    units = weight_unit_lattice(S, fx57)
+    units = weight_unit_lattice(S.hilbert_basis, fx57).lattice
     assert units.contains((1, 0)) and units.contains((0, 1))
 
 
 def test_weight_unit_group_matches_paired_system(fx57, fx58):
     for action in (fx57, fx58, ambient_torus_action(), polynomial_action(2)):
         S = build_semigroup(action, Budget())
-        assert weight_unit_lattice(S, action) == paired_unit_lattice(S, action, Budget())
+        assert weight_unit_lattice(S.hilbert_basis, action) == paired_unit_lattice(action, Budget())
 
 
 def _fiber_search_units(S, action, budget):
@@ -263,10 +264,10 @@ def _fiber_search_units(S, action, budget):
     gens = [
         action.raw_weight(h)
         for h in S.hilbert_basis
-        if fiber_sample(action, action.char_neg(action.weight_of(h)), budget=budget) is not None
+        if fiber_sample(action, action.char_scale(-1, action.weight_of(h)), budget=budget)
+        is not None
     ]
-    rel = action.relation_lattice()
-    return Sublattice.from_columns(gens + list(rel.basis), action.char_length)
+    return SubgroupOfA.generated_by(action, gens)
 
 
 @st.composite
@@ -296,11 +297,33 @@ def test_weight_unit_lattice_matches_the_fiber_search(action):
     try:
         S = build_semigroup(action, budget)
         fiber_route = _fiber_search_units(S, action, budget)
-        paired = paired_unit_lattice(S, action, budget)
+        paired = paired_unit_lattice(action, budget)
     except CappedComputationError:
         assume(False)
-    units = weight_unit_lattice(S, action)
+    units = weight_unit_lattice(S.hilbert_basis, action)
     assert units == fiber_route == paired
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_actions())
+@example(WeightedAction(3, 1, (), ((1,), (-1,), (1,))))  # a deep facet
+@example(WeightedAction(3, 1, (2,), ((1, 1), (-1, 0), (0, 1)), (((1, 1, 0), 0),)))
+def test_face_unit_lattice_matches_the_paired_system(action):
+    # U(wt(S_P)) from the face generators, against the paired-system route
+    # on the face semigroup S_P: the action with the extra row a_coord = 0
+    budget = Budget(max_norm=32, max_nodes=20000)
+    n = action.ambient_dim
+    try:
+        S = build_semigroup(action, budget)
+        paired = []
+        for P in S.facets:
+            row = tuple(int(j == P.coord) for j in range(n))
+            face = replace(action, congruences=action.congruences + ((row, 0),))
+            paired.append(paired_unit_lattice(face, budget))
+    except CappedComputationError:
+        assume(False)
+    for P, want in zip(S.facets, paired):
+        assert weight_unit_lattice(P.face_generators, action) == want
 
 
 def test_action_validation():

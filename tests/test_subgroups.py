@@ -3,7 +3,7 @@ import random
 
 from equitor.divisors import DivisorContext
 from equitor.lattice import Sublattice
-from equitor.semigroup import Budget, WeightedAction, build_semigroup, weight_unit_lattice
+from equitor.semigroup import Budget, WeightedAction, build_semigroup
 from equitor.subgroups import (
     FiniteAbelianData,
     SubgroupOfA,
@@ -19,6 +19,7 @@ from equitor.subgroups import (
     restrict_action_to_subgroup,
     tor_subgroup,
     trivial_subgroup,
+    weight_unit_lattice,
     whole_group,
 )
 from conftest import (
@@ -129,7 +130,7 @@ def test_reflection_group_scaling_torus_after_reduction():
     # where the whole group acts ineffectively
     act = scaling_action()
     S = build_semigroup(act, Budget())
-    units = SubgroupOfA(act, weight_unit_lattice(S, act))
+    units = weight_unit_lattice(S.hilbert_basis, act)
     assert not is_stable(S, act, units)
     reduced = quotient_action(act, perp(units))
     S2 = build_semigroup(reduced, Budget())
@@ -230,7 +231,7 @@ def test_quotient_of_ambient_reproduces_5_7():
 def test_stability(fx57, fx58):
     for act, expect in ((fx57, True), (fx58, True), (scaling_action(), False)):
         S = build_semigroup(act, Budget())
-        assert is_stable(S, act, SubgroupOfA(act, weight_unit_lattice(S, act))) == expect
+        assert is_stable(S, act, weight_unit_lattice(S.hilbert_basis, act)) == expect
 
 
 def test_pairing_lemma_on_fixtures(fx57, fx58):
@@ -239,12 +240,12 @@ def test_pairing_lemma_on_fixtures(fx57, fx58):
     rng = random.Random(6)
     for act in (fx57, fx58):
         S = build_semigroup(act, Budget())
-        units = SubgroupOfA(act, weight_unit_lattice(S, act))
+        units = weight_unit_lattice(S.hilbert_basis, act)
         for _ in range(6):
             B = random_subgroup(act, rng)
             sub = quotient_action(act, perp(B))
             S_sub = build_semigroup(sub, Budget())
-            sub_units = SubgroupOfA(act, weight_unit_lattice(S_sub, act))
+            sub_units = weight_unit_lattice(S_sub.hilbert_basis, act)
             assert sub_units == units.intersect(B)
 
 
@@ -271,7 +272,7 @@ def test_derived_subgroups():
 
     for act in (action_5_7(), action_5_8()):
         ctx = DivisorContext(act, Budget())
-        units = SubgroupOfA(act, weight_unit_lattice(ctx.S, act))
+        units = weight_unit_lattice(ctx.S.hilbert_basis, act)
         assert ctx.cls.no_blowing_up
         # both fixtures have trivial reflection restriction, so the qualified
         # lattice is the full unit-weight group
@@ -286,7 +287,7 @@ def test_derived_subgroups():
 
     act = polynomial_action(2)
     ctx = DivisorContext(act, Budget())
-    units = SubgroupOfA(act, weight_unit_lattice(ctx.S, act))
+    units = weight_unit_lattice(ctx.S.hilbert_basis, act)
     got = derived_subgroups(ctx.S, act, units, units)
     for H in got.values():
         assert H.is_whole_group()  # the trivial group's only subgroup

@@ -1,7 +1,7 @@
 """Source-level guarantees: no state that outlives one analysis, no cap or
-cache outside the analysis's budget, no invariant check that `python -O`
-can strip, and no name the engine never calls unless it is a declared
-entry point or reference route."""
+cache outside the analysis's budget, no search in the group layers, no
+invariant check that `python -O` can strip, and no name the engine never
+calls unless it is a declared entry point or reference route."""
 
 import ast
 import importlib.util
@@ -129,11 +129,29 @@ def test_only_the_budget_holds_memo_tables():
     assert found == []
 
 
+SEARCHES = ("fiber_sample", "solve_system_nonneg", "minimal_nonneg_solutions", "enumerate_fiber")
+
+
+def test_group_layers_run_no_search():
+    # unit, face-unit and qualified groups are lattice arithmetic: the
+    # subgroup and reduced-class layers import no integer search
+    trees = dict(_modules())
+    found = [
+        f"{name}:{node.lineno}:{alias.name}"
+        for name in ("subgroups.py", "reduced.py")
+        for node in ast.walk(trees[name])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name.rpartition(".")[2] in SEARCHES
+    ]
+    assert found == []
+
+
 # Functions, methods and classes that no code in src/equitor calls, each
 # with the reason it stays.  Every other name must have an engine caller.
 KEPT_WITHOUT_ENGINE_CALLER = {
     # reference routes: independent computations the tests compare against
-    "paired_unit_lattice": "paired-system route to weight_unit_lattice",
+    "paired_unit_lattice": "Hilbert basis of the paired system, the route to weight_unit_lattice",
     "brute_force_class_order": "enumeration route to QuotientGroup.order_of",
     "restrict_action_to_subgroup": "runs the oracles on the action of a subgroup",
     "min_free_multiple": "search route to the freeness exponent",
