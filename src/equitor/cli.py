@@ -22,6 +22,14 @@ from .semigroup import WeightedAction
 Vec = tuple[int, ...]
 
 
+def nonnegative(value: int, where: str) -> int:
+    """The range check of every option and bound flag: 0 is a bound like
+    any other, a negative value is bad input."""
+    if value < 0:
+        raise InputError(f"{where}: expected an integer >= 0")
+    return value
+
+
 def parse_input(doc, where: str = "$") -> tuple[WeightedAction, Options]:
     """Validate one input document; raises InputError with a pointer."""
     if not isinstance(doc, dict):
@@ -85,9 +93,10 @@ def parse_input(doc, where: str = "$") -> tuple[WeightedAction, Options]:
     for f in dataclasses.fields(Options):
         if f.name in opts:
             try:
-                values[f.name] = int(opts[f.name])
+                value = int(opts[f.name])
             except (TypeError, ValueError) as e:
                 raise InputError(f"{where}.options.{f.name}: expected an integer") from e
+            values[f.name] = nonnegative(value, f"{where}.options.{f.name}")
     options = Options(**values)
     try:
         action = WeightedAction(
@@ -175,8 +184,8 @@ def analyze_report(an: Analysis) -> dict:
 def run(command: str, doc, flags) -> dict:
     action, options = parse_input(doc)
     report: dict = {"command": command, "input": echo_input(action, options)}
-    if command == "cofree" and flags.degree_cap:
-        options = dataclasses.replace(options, degree_cap=flags.degree_cap)
+    if command == "cofree" and flags.degree_cap is not None:
+        options = dataclasses.replace(options, degree_cap=nonnegative(flags.degree_cap, "--degree-cap"))
     an = Analysis(action, options)
     if command == "analyze":
         report.update(analyze_report(an))
@@ -276,7 +285,7 @@ def run(command: str, doc, flags) -> dict:
             }
         )
     elif command == "sweep":
-        bound = flags.bound or options.sweep_bound
+        bound = options.sweep_bound if flags.bound is None else nonnegative(flags.bound, "--bound")
         red = reduced_class_groups(an.ctx, an.qualified, bound)
         report.update(
             {

@@ -48,18 +48,18 @@ class FacetOverInvariants:
 
 @dataclass(frozen=True)
 class FacetClassification:
-    """Per-facet tiers, fibers over invariant facets, and the slack lattice.
+    """Per-facet tiers, fibers over invariant facets, and their columns.
 
-    `ramification_lattice` spans, inside Z^{facets of S_X}, the full-fiber
-    columns (e(P,q) at each P over q) together with the unit vectors at
-    deep (height >= 2) facets; divisors of relative invariants are
-    canonical exactly modulo this lattice.
+    The full-fiber column c_q of an invariant facet q has e(P, q) at each
+    facet P over q and 0 elsewhere, inside Z^{facets of S_X}: the divisor
+    upstairs of the prime q.  Character divisors are additive modulo these
+    columns together with the unit vectors at deep (height >= 2) facets.
     """
 
     facets: tuple[FacetOverInvariants, ...]
     fibers: tuple[tuple[int, ...], ...]  # q index -> facet indices of S_X over q
     ht2plus: tuple[int, ...]
-    ramification_lattice: Sublattice
+    fiber_columns: tuple[Vec, ...]  # q index -> c_q, zero when nothing lies over q
 
     @property
     def all_invariant_facets_covered(self) -> bool:
@@ -102,24 +102,15 @@ def classify_facets(S_X: AffineSemigroup, S_G: AffineSemigroup) -> FacetClassifi
         else:
             infos.append(FacetOverInvariants(HT2PLUS))
             ht2plus.append(P.index)
-    nf = S_X.facet_count
-    cols = []
-    for q in S_G.facets:
-        col = [0] * nf
-        for pi in fibers[q.index]:
-            col[pi] = infos[pi].ram_index
-        if any(col):
-            cols.append(tuple(col))
-    for pi in ht2plus:
-        col = [0] * nf
-        col[pi] = 1
-        cols.append(tuple(col))
-    ram = Sublattice.from_columns(cols, nf)
+    columns = tuple(
+        tuple(infos[pi].ram_index if pi in fiber else 0 for pi in range(S_X.facet_count))
+        for fiber in fibers
+    )
     return FacetClassification(
         facets=tuple(infos),
         fibers=tuple(tuple(f) for f in fibers),
         ht2plus=tuple(ht2plus),
-        ramification_lattice=ram,
+        fiber_columns=columns,
     )
 
 
@@ -133,11 +124,6 @@ class DivisorVector:
     @property
     def is_effective(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
-
-    def sub(self, other: "DivisorVector") -> "DivisorVector":
-        if self.target != other.target:
-            raise InputError("divisors on different rings")
-        return DivisorVector(self.target, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -355,43 +341,7 @@ class DivisorContext:
                 return a, b
         return None
 
-    def min_free_multiple(self, chi: Vec) -> int | None:
-        """Least multiple of the character whose module is free, or None.
-
-        Equals the order of the module class; when that order is finite it
-        must also equal the order of the character divisor class and is
-        cross-checked against the freeness test at every multiple up to it.
-        A module class of infinite order has no free multiple (only a few
-        small multiples are spot-checked then); the divisor class order
-        carries no information in that case.
-        """
-        chi = self.action.reduce_char(chi)
-        d_ord = self.char_class_order(chi)
-        m_ord = self.module_class_order(chi)
-        if m_ord is None:
-            for k in range(1, 4):
-                if self.free_test(self.action.char_scale(k, chi))[0]:
-                    raise InvariantViolationError("free multiple of a non-torsion module class")
-            return None
-        if d_ord != m_ord:
-            raise InvariantViolationError(
-                f"divisor-class and module-class orders disagree ({d_ord} vs {m_ord})"
-            )
-        for k in range(1, d_ord):
-            if self.free_test(self.action.char_scale(k, chi))[0]:
-                raise InvariantViolationError("free multiple below the class order")
-        if not self.free_test(self.action.char_scale(d_ord, chi))[0]:
-            raise InvariantViolationError("module not free at the class order")
-        return d_ord
-
     # -- facet principality (for the non-principal reflection subgroup) ----
-
-    def principal_facet_flags(self) -> dict[int, bool]:
-        out = {}
-        for P in self.S.facets:
-            unit = DivisorVector("R", tuple(1 if i == P.index else 0 for i in range(self.S.facet_count)))
-            out[P.index] = self.cl_R.is_principal(unit)
-        return out
 
     def obstructing_facet_flags(self) -> dict[int, bool]:
         """Per height-one facet: principality of the contracted invariant prime.

@@ -58,24 +58,10 @@ class IntMatrix:
     def col(self, j: int) -> Vec:
         return tuple(row[j] for row in self.entries)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries else ())
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise InputError("matrix dimensions incompatible for product")
-        ot = other.transpose().entries
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.entries)
-        )
-
     def mul_vec(self, v: Vec) -> Vec:
         if self.entries and len(v) != self.cols:
             raise InputError("vector length does not match matrix width")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-
-    def is_diagonal(self) -> bool:
-        return all(x == 0 for i, row in enumerate(self.entries) for j, x in enumerate(row) if i != j)
 
 
 def _identity_rows(n: int) -> list[list[int]]:
@@ -251,12 +237,6 @@ class Sublattice:
     def zero(ambient: int) -> "Sublattice":
         return Sublattice(ambient, ())
 
-    @staticmethod
-    def full(ambient: int) -> "Sublattice":
-        return Sublattice.from_columns(
-            [tuple(1 if i == j else 0 for i in range(ambient)) for j in range(ambient)], ambient
-        )
-
     @property
     def rank(self) -> int:
         return len(self.basis)
@@ -419,13 +399,6 @@ class QuotientGroup:
             if m is None:
                 return None
         return m
-
-
-def class_order(v: Vec, lattice: Sublattice) -> int | None:
-    """Smallest m >= 1 with m*v in the lattice; None if no such m exists."""
-    if len(v) != lattice.ambient:
-        raise InputError("vector length does not match ambient rank")
-    return QuotientGroup.of(lattice).order_of(v)
 
 
 def quotient_structure(generators: list[Vec], denominator: Sublattice) -> tuple[int, ...]:

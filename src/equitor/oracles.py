@@ -1,25 +1,43 @@
-"""Brute-force ground truth, deliberately naive and independent of the
+"""Reference routes: independent computations that tests and consistency
+records set against the engine.  This module is their one home.
+
+Brute-force ground truth, deliberately naive and independent of the
 divisor-theoretic path: null-fiber dimension by face enumeration, bounded
 module freeness by degree slices, divisor class orders by direct
 diophantine solves, and unit weights by the Hilbert basis of a paired
-system."""
+system.  The pipeline runs the first two beside every verdict.
+
+Consistency records on one analysis, which the engine never runs: the main
+theorem's equivalent conditions, each evaluated on its own; the corollary
+"cofree iff the obstruction restricts trivially"; the check that every
+qualified character becomes free at the exponent; the search route to the
+freeness exponent; and the restriction of an action to a subgroup, which
+runs the oracles on that subgroup's action.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import TYPE_CHECKING
 
-from .errors import CappedComputationError, InputError
-from .lattice import matrix_rank, solve_diophantine
+from .divisors import DivisorContext
+from .errors import CappedComputationError, InputError, InvariantViolationError
+from .lattice import IntMatrix, QuotientGroup, matrix_rank, solve_diophantine
+from .reduced import QualifiedLattice, sweep_chars
 from .semigroup import (
     AffineSemigroup,
     Budget,
     Vec,
     WeightedAction,
+    build_semigroup,
     enumerate_fiber,
     hilbert_basis,
 )
-from .subgroups import SubgroupOfA
+from .subgroups import SubgroupOfA, SubgroupOfG, perp, quotient_action
+
+if TYPE_CHECKING:
+    from .pipeline import Analysis
 
 YES = "yes"
 NO = "no"
@@ -121,8 +139,6 @@ def brute_force_class_order(
     nf = S.facet_count
     if len(coeffs) != nf:
         raise InputError("one coefficient per facet required")
-    from .lattice import IntMatrix
-
     val_cols = [S.valuation_vector(col) for col in basis]
     M = IntMatrix.from_cols(val_cols, nf) if val_cols else IntMatrix.from_rows([() for _ in range(nf)])
     for m in range(1, bound + 1):
@@ -149,3 +165,111 @@ def paired_unit_lattice(action: WeightedAction, budget: Budget) -> SubgroupOfA:
         congs.append((tuple(coeffs) + tuple(coeffs), m))
     pairs = hilbert_basis(tuple(congs), 2 * n, budget)
     return SubgroupOfA.generated_by(action, [action.raw_weight(p[:n]) for p in pairs])
+
+
+def restrict_action_to_subgroup(action: WeightedAction, H: SubgroupOfG) -> WeightedAction:
+    """Reinterpret the same variables as a representation of the subgroup H.
+
+    The character group of H is A / B_H; weights map through the canonical
+    projection.  Used to run oracles against an action of a subgroup.
+    """
+    q = QuotientGroup.of(H.annihilator.lattice)
+    keep = []
+    moduli = []
+    for i in range(action.char_length):
+        m = q.diag[i] if i < len(q.diag) else 0
+        if m == 1:
+            continue
+        keep.append(i)
+        moduli.append(m)
+    free_idx = [i for i, m in zip(keep, moduli) if m == 0]
+    tor_idx = [i for i, m in zip(keep, moduli) if m != 0]
+    new_weights = []
+    for j in range(action.ambient_dim):
+        y = q.transform.mul_vec(action.weights[j])
+        new_weights.append(tuple(y[i] for i in free_idx) + tuple(y[i] for i in tor_idx))
+    return WeightedAction(
+        ambient_dim=action.ambient_dim,
+        free_rank=len(free_idx),
+        torsion_moduli=tuple(q.diag[i] for i in tor_idx),
+        weights=tuple(new_weights),
+        congruences=action.congruences,
+    )
+
+
+def min_free_multiple(ctx: DivisorContext, chi: Vec) -> int | None:
+    """Least multiple of the character whose module is free, or None.
+
+    Equals the order of the module class; when that order is finite it
+    must also equal the order of the character divisor class and is
+    cross-checked against the freeness test at every multiple up to it.
+    A module class of infinite order has no free multiple (only a few
+    small multiples are spot-checked then); the divisor class order
+    carries no information in that case.
+    """
+    act = ctx.action
+    chi = act.reduce_char(chi)
+    d_ord = ctx.char_class_order(chi)
+    m_ord = ctx.module_class_order(chi)
+    if m_ord is None:
+        for k in range(1, 4):
+            if ctx.free_test(act.char_scale(k, chi))[0]:
+                raise InvariantViolationError("free multiple of a non-torsion module class")
+        return None
+    if d_ord != m_ord:
+        raise InvariantViolationError(
+            f"divisor-class and module-class orders disagree ({d_ord} vs {m_ord})"
+        )
+    for k in range(1, d_ord):
+        if ctx.free_test(act.char_scale(k, chi))[0]:
+            raise InvariantViolationError("free multiple below the class order")
+    if not ctx.free_test(act.char_scale(d_ord, chi))[0]:
+        raise InvariantViolationError("module not free at the class order")
+    return d_ord
+
+
+def t_consistency_check(
+    ctx: DivisorContext,
+    qualified: QualifiedLattice,
+    exponent: int,
+    wide_bound: int,
+) -> bool:
+    """Every qualified character in the wider sweep becomes free at the exponent."""
+    act = ctx.action
+    for chi in sweep_chars(act, qualified.basis_chars(), wide_bound):
+        if not ctx.free_test(act.char_scale(exponent, chi))[0]:
+            return False
+    return True
+
+
+def main_theorem_conditions(an: Analysis) -> dict:
+    """The equivalent finiteness / cofreeness / equidimensionality
+    conditions, each evaluated independently; they must agree."""
+    red = an.reduced
+    v = red.module_exponent
+    finite = v is not None
+    conds = {
+        "module_side_finite": 0 not in red.module_side_factors,
+        "module_exponent_finite": finite,
+        "exponents_equal_finite": finite and red.divisor_exponent == v,
+        "exponent_multiples_free": finite
+        and t_consistency_check(an.ctx, an.qualified, v, an.options.sweep_bound),
+    }
+    delta = perp(an.qualified.group)
+    S_delta = build_semigroup(quotient_action(an.action, delta), an.budget)
+    conds["qualified_quotient_equidimensional"] = null_fiber_dimension(S_delta, an.ctx.S_G)[1]
+    if len(set(conds.values())) != 1:
+        raise InvariantViolationError(f"equivalent conditions disagree: {conds}")
+    return conds
+
+
+def corollary_consistency(an: Analysis) -> bool | None:
+    """On an equidimensional action: cofree iff the obstruction restricts
+    trivially.  None unless the action is verdicted equidimensional."""
+    v = an.verdict
+    if v.equidimensional != "yes":
+        return None
+    obs = an.obstruction
+    if obs is None:
+        raise InvariantViolationError("equidimensional verdict without obstruction data")
+    return (v.cofree == "yes") == (obs.restriction.order == 1)

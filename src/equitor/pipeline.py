@@ -29,7 +29,6 @@ from .reduced import (
     certified_exponent,
     qualified_lattice,
     reduced_class_groups,
-    sweep_chars,
 )
 from .semigroup import (
     Budget,
@@ -380,48 +379,3 @@ class Analysis:
             null_fiber=nf,
             oracle_agrees=oracle_ok,
         )
-
-    # -- theorem-level consistency records ------------------------------------
-
-    def main_theorem_conditions(self) -> dict:
-        """The equivalent finiteness / cofreeness / equidimensionality
-        conditions, each evaluated independently; they must agree."""
-        act = self.action
-        v = self.reduced.module_exponent
-        finite = v is not None
-        conds = {
-            "module_side_finite": finite,
-            "module_exponent_finite": finite,
-            "exponents_equal_finite": finite
-            and self.reduced.divisor_exponent == self.reduced.module_exponent,
-        }
-        if finite:
-            ok = True
-            for lam in sweep_chars(act, self.qualified.basis_chars(), self.options.sweep_bound):
-                if not self.ctx.free_test(act.char_scale(v, lam))[0]:
-                    ok = False
-                    break
-            conds["exponent_multiples_free"] = ok
-        else:
-            conds["exponent_multiples_free"] = False
-        delta = perp(self.qualified.group)
-        S_delta = build_semigroup(quotient_action(act, delta), self.budget)
-        conds["qualified_quotient_equidimensional"] = null_fiber_dimension(
-            S_delta, self.ctx.S_G
-        )[1]
-        if len(set(conds.values())) != 1:
-            raise InvariantViolationError(f"equivalent conditions disagree: {conds}")
-        return conds
-
-    def corollary_consistency(self) -> bool | None:
-        """On an equidimensional action: cofree iff the obstruction restricts
-        trivially.  None when the equidimensionality verdict is undecided."""
-        v = self.verdict
-        if v.equidimensional == UNKNOWN:
-            return None
-        if v.equidimensional != "yes":
-            return None
-        obs = self.obstruction
-        if obs is None:
-            raise InvariantViolationError("equidimensional verdict without obstruction data")
-        return (v.cofree == "yes") == (obs.restriction.order == 1)

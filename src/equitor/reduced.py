@@ -15,10 +15,11 @@ short.
 
 The subgroup of Cl(R) generated by the character divisors is computed from
 a sweep over small combinations of a basis, then certified exact when it
-already contains the envelope allowed by the additivity defect (which is
-controlled by the ramification lattice), or when the basis is empty.  The
-same sweep records the first nonzero character whose divisor or module
-class has infinite order, the witness behind an infinite exponent.
+already contains the envelope allowed by the additivity defect (spanned by
+the full-fiber columns of the invariant facets where the fiberwise minimum
+is not linear), or when the basis is empty.  The same sweep records the
+first nonzero character whose divisor or module class has infinite order,
+the witness behind an infinite exponent.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def reduced_class_groups(
 
     # with no basis the generated group is {0}, which the sweep holds
     exact = not basis or _envelope_certificate(
-        ctx, [divisor_coeffs(chi) for chi in basis], list(div_cols.values())
+        ctx, basis, [divisor_coeffs(chi) for chi in basis], list(div_cols.values())
     )
 
     stable = True
@@ -181,20 +182,40 @@ def _exponent_from_orders(orders: list[int | None]) -> int | None:
 
 
 def _envelope_certificate(
-    ctx: DivisorContext, basis_cols: list[Vec], div_cols: list[Vec]
+    ctx: DivisorContext, basis: list[Vec], basis_cols: list[Vec], div_cols: list[Vec]
 ) -> bool:
     """True when the swept subgroup provably equals the full generated group.
 
-    Character divisors are additive modulo the ramification lattice, so the
-    full group sits between the swept subgroup and the envelope generated by
-    the basis divisors together with the ramification columns; equality of
-    envelope and sweep pins it down.
+    Take chi = sum x_i b_i over the basis, with fiber points a_chi and
+    a_{b_i}.  The difference g = a_chi - sum x_i a_{b_i} lies in
+    ZS ∩ ker(wt), which is ZS_G for a stable action.  `classify_facets`
+    checks v_P = e_P v_q on ZS_G for P over q and v_P = 0 on ZS_G at
+    height-zero facets, and every character divisor has its deep
+    coordinates zeroed, so
+
+        D(chi) - sum x_i D(b_i)
+            = -sum_q (m_q(a_chi) - sum x_i m_q(a_{b_i}) - v_q(g)) c_q,
+
+    with m_q the fiberwise minimum of floor(v_P / e_P) over the facets P
+    over q and c_q the full-fiber column.  m_q is linear on the qualified
+    group when a single facet P lies over q and e_P divides v_P(a_b) for
+    every basis character b; then e_P divides v_P(a_chi) as well, and the
+    coefficient of c_q is 0.  So the full group sits between the swept
+    subgroup and the envelope generated by the basis divisors and the
+    columns c_q of the other invariant facets; equality of envelope and
+    sweep pins it down.
     """
-    rel = ctx.cl_R.presentation
-    ram_cols = list(ctx.cls.ramification_lattice.basis)
+    cls = ctx.cls
+    vals = [ctx.S.valuation_vector(ctx.fiber_element(b)) for b in basis]
+    reachable = [
+        col
+        for fiber, col in zip(cls.fibers, cls.fiber_columns)
+        if len(fiber) > 1 or (fiber and any(v[fiber[0]] % col[fiber[0]] for v in vals))
+    ]
+    rel = list(ctx.cl_R.presentation.basis)
     nf = ctx.S.facet_count
-    envelope = Sublattice.from_columns(basis_cols + ram_cols + list(rel.basis), nf)
-    swept = Sublattice.from_columns(list(div_cols) + list(rel.basis), nf)
+    envelope = Sublattice.from_columns(basis_cols + reachable + rel, nf)
+    swept = Sublattice.from_columns(list(div_cols) + rel, nf)
     return envelope == swept
 
 
@@ -213,17 +234,3 @@ def certified_exponent(
     if qualified.provenance == "exact" and data.exact:
         return data.divisor_exponent, "exact"
     return data.divisor_exponent, "swept" if data.sweep_stable else "sweep-unstable"
-
-
-def t_consistency_check(
-    ctx: DivisorContext,
-    qualified: QualifiedLattice,
-    exponent: int,
-    wide_bound: int,
-) -> bool:
-    """Every qualified character in the wider sweep becomes free at the exponent."""
-    act = ctx.action
-    for chi in sweep_chars(act, qualified.basis_chars(), wide_bound):
-        if not ctx.free_test(act.char_scale(exponent, chi))[0]:
-            return False
-    return True

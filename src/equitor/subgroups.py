@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, InvariantViolationError
+from .errors import InputError
 from .lattice import QuotientGroup, Sublattice, quotient_structure, rational_shifted_cone_nonempty
 from .semigroup import AffineSemigroup, FacetPrime, Vec, WeightedAction
 
@@ -46,10 +46,6 @@ class SubgroupOfA:
         rel = action.relation_lattice()
         cols = [tuple(c) for c in chars] + list(rel.basis)
         return SubgroupOfA(action, Sublattice.from_columns(cols, action.char_length))
-
-    @staticmethod
-    def full(action: WeightedAction) -> "SubgroupOfA":
-        return SubgroupOfA(action, Sublattice.full(action.char_length))
 
     @staticmethod
     def trivial(action: WeightedAction) -> "SubgroupOfA":
@@ -101,12 +97,6 @@ class SubgroupOfG:
     def join(self, other: "SubgroupOfG") -> "SubgroupOfG":
         return SubgroupOfG(self.annihilator.intersect(other.annihilator))
 
-    def is_whole_group(self) -> bool:
-        return self.annihilator == SubgroupOfA.trivial(self.action)
-
-    def is_trivial(self) -> bool:
-        return self.annihilator == SubgroupOfA.full(self.action)
-
 
 def perp(x: SubgroupOfA | SubgroupOfG):
     """Orthogonal flip between subgroups of A and closed subgroups of G."""
@@ -117,10 +107,6 @@ def perp(x: SubgroupOfA | SubgroupOfG):
 
 def whole_group(action: WeightedAction) -> SubgroupOfG:
     return SubgroupOfG(SubgroupOfA.trivial(action))
-
-
-def trivial_subgroup(action: WeightedAction) -> SubgroupOfG:
-    return SubgroupOfG(SubgroupOfA.full(action))
 
 
 @dataclass(frozen=True)
@@ -270,56 +256,4 @@ def pseudo_reflection_group(
         if principal_flags is not None and principal_flags[P.index]:
             continue
         out = out.join(inertia_subgroup(S, action, P))
-    return out
-
-
-def restrict_action_to_subgroup(action: WeightedAction, H: SubgroupOfG) -> WeightedAction:
-    """Reinterpret the same variables as a representation of the subgroup H.
-
-    The character group of H is A / B_H; weights map through the canonical
-    projection.  Used to run oracles against an action of a subgroup.
-    """
-    B = H.annihilator.lattice
-    q = QuotientGroup.of(B)
-    k = action.char_length
-    diag = q.diag
-    keep = []
-    moduli = []
-    for i in range(k):
-        m = diag[i] if i < len(diag) else 0
-        if m == 1:
-            continue
-        keep.append(i)
-        moduli.append(m)
-    free_idx = [i for i, m in zip(keep, moduli) if m == 0]
-    tor_idx = [i for i, m in zip(keep, moduli) if m != 0]
-    new_weights = []
-    for j in range(action.ambient_dim):
-        y = q.transform.mul_vec(action.weights[j])
-        new_weights.append(tuple(y[i] for i in free_idx) + tuple(y[i] for i in tor_idx))
-    return WeightedAction(
-        ambient_dim=action.ambient_dim,
-        free_rank=len(free_idx),
-        torsion_moduli=tuple(diag[i] for i in tor_idx),
-        weights=tuple(new_weights),
-        congruences=action.congruences,
-    )
-
-
-def derived_subgroups(
-    S: AffineSemigroup,
-    action: WeightedAction,
-    qualified: SubgroupOfA,
-    two_sided: SubgroupOfA,
-) -> dict[str, SubgroupOfG]:
-    """The kernels cut out by the unit, qualified, and two-sided weight groups."""
-    units = weight_unit_lattice(S.hilbert_basis, action)
-    out = {
-        "stability_kernel": perp(units),
-        "qualified_kernel": perp(qualified),
-        "two_sided_kernel": perp(two_sided),
-    }
-    # pairing sanity: annihilators reverse inclusions
-    if not units.contains_subgroup(qualified):
-        raise InvariantViolationError("qualified characters must be unit weights")
     return out

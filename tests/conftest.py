@@ -2,7 +2,9 @@
 
 import pytest
 
+from equitor.lattice import Sublattice
 from equitor.semigroup import WeightedAction
+from equitor.subgroups import SubgroupOfA, SubgroupOfG
 
 
 def action_5_7() -> WeightedAction:
@@ -61,6 +63,20 @@ def ambient_torus_action() -> WeightedAction:
         weights=((1, 0), (-1, 0), (0, 1), (0, -1)),
         congruences=(),
     )
+
+
+def trivial_subgroup(action: WeightedAction) -> SubgroupOfG:
+    """The trivial subgroup of G: every character annihilates it."""
+    k = action.char_length
+    return SubgroupOfG(SubgroupOfA.generated_by(action, [tuple(int(i == j) for i in range(k)) for j in range(k)]))
+
+
+def ramification_lattice(ctx) -> Sublattice:
+    """The full-fiber columns with the unit vectors at the deep facets:
+    character divisors are additive modulo this lattice."""
+    nf = ctx.S.facet_count
+    deep = [tuple(int(i == pi) for i in range(nf)) for pi in ctx.cls.ht2plus]
+    return Sublattice.from_columns(list(ctx.cls.fiber_columns) + deep, nf)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 from equitor.cli import main, parse_input
 from equitor.errors import InputError
+from equitor.pipeline import Options
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -167,6 +169,44 @@ def test_parse_input_pointered_errors():
         )
     with pytest.raises(InputError, match=r"\$\.options\.degree_cap"):
         parse_input({"ambient_dim": 1, "torus_rank": 1, "weights": [[1]], "options": {"degree_cap": "x"}})
+
+
+@pytest.mark.parametrize("options", [{"sweep_bound": -1}, {"solver_norm_cap": -5}], ids=str)
+def test_negative_option_exits_2(tmp_path, options):
+    # a negative sweep bound sweeps nothing and would read 5.7 as cofree
+    # with t = 1; a negative depth cap would exit 3 as if a cap were reached
+    (name,) = options
+    doc = json.loads((FIXTURES / "example_5_7.json").read_text())
+    doc["options"] = options
+    path = tmp_path / "options.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("analyze", str(path))
+    assert proc.returncode == 2
+    assert f"$.options.{name}: expected an integer >= 0" in proc.stderr
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Options)])
+def test_parse_input_rejects_every_negative_option(name):
+    doc = {"ambient_dim": 1, "torus_rank": 1, "weights": [[1]], "options": {name: -1}}
+    with pytest.raises(InputError, match=rf"\$\.options\.{name}: expected an integer >= 0"):
+        parse_input(doc)
+    doc["options"] = {name: 0}
+    assert getattr(parse_input(doc)[1], name) == 0
+
+
+@pytest.mark.parametrize("command,flag", [("sweep", "--bound"), ("cofree", "--degree-cap")])
+def test_negative_flag_exits_2(command, flag):
+    proc = run_cli(command, str(FIXTURES / "example_5_7.json"), flag, "-1")
+    assert proc.returncode == 2
+    assert f"{flag}: expected an integer >= 0" in proc.stderr
+
+
+def test_zero_flags_are_honoured():
+    # a flag of 0 is a bound, not "not given" (the defaults are 2 and 12)
+    rep = run_json("sweep", str(FIXTURES / "example_5_7.json"), "--bound", "0")
+    assert rep["bound"] == 0 and rep["urcl"] == [] and rep["sweep_stable"] is False
+    rep = run_json("cofree", str(FIXTURES / "example_5_7.json"), "--degree-cap", "0")
+    assert rep["degree_cap"] == 0 and rep["oracle_checked"] == 0
 
 
 def test_non_equidimensional_report(tmp_path):

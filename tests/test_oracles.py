@@ -1,7 +1,7 @@
 import random
 
 from equitor.divisors import DivisorContext
-from equitor.lattice import class_order
+from equitor.lattice import QuotientGroup
 from equitor.oracles import (
     INCONCLUSIVE,
     NO,
@@ -111,7 +111,7 @@ def test_brute_force_matches_lattice_orders(fx57, fx58):
         image = Sublattice.from_columns(image_cols, S.facet_count)
         for _ in range(50):
             D = tuple(rng.randint(-4, 4) for _ in range(S.facet_count))
-            exact = class_order(D, image)
+            exact = QuotientGroup.of(image).order_of(D)
             brute = brute_force_class_order(S, D, 12)
             if exact is not None and exact <= 12:
                 assert brute == exact

@@ -6,7 +6,14 @@ import pytest
 
 from equitor.cli import parse_input
 from equitor.errors import CappedComputationError, InputError, InvariantViolationError
-from equitor.oracles import INCONCLUSIVE, YES, bounded_freeness_oracle
+from equitor.oracles import (
+    INCONCLUSIVE,
+    YES,
+    bounded_freeness_oracle,
+    corollary_consistency,
+    main_theorem_conditions,
+    restrict_action_to_subgroup,
+)
 from equitor.pipeline import (
     Analysis,
     Options,
@@ -19,7 +26,6 @@ from equitor.subgroups import (
     perp,
     pseudo_reflection_group,
     quotient_action,
-    restrict_action_to_subgroup,
     restriction_data,
     tor_subgroup,
     whole_group,
@@ -76,7 +82,7 @@ def test_analysis_5_7_values():
     assert v.equidimensional == "yes" and v.cofree == "no"
     assert v.oracle_agrees
     assert an.obstruction_quotient_cofree.verdict
-    assert an.corollary_consistency() is True
+    assert corollary_consistency(an) is True
 
 
 def test_analysis_5_8_values():
@@ -89,7 +95,7 @@ def test_analysis_5_8_values():
     v = an.verdict
     assert v.equidimensional == "yes" and v.cofree == "no"
     assert v.oracle_agrees
-    assert an.corollary_consistency() is True
+    assert corollary_consistency(an) is True
 
 
 def test_factorial_fixture_obstruction():
@@ -107,7 +113,7 @@ def test_factorial_fixture_obstruction():
     assert obs.obstruction == an.kernel
     v = an.verdict
     assert v.equidimensional == "yes" and v.cofree == "yes"
-    assert an.corollary_consistency() is True
+    assert corollary_consistency(an) is True
 
 
 def test_trivial_group_verdicts():
@@ -123,19 +129,31 @@ def test_non_equidimensional_classic():
     assert an.reduced.module_exponent is None
     assert an.exponent_with_provenance[0] is None
     assert an.obstruction is None
-    conds = an.main_theorem_conditions()
+    conds = main_theorem_conditions(an)
     assert set(conds.values()) == {False}
 
 
 def test_main_theorem_all_true_on_fixtures():
     for act in (action_5_7(), action_5_8(), polynomial_action(2)):
-        conds = Analysis(act).main_theorem_conditions()
+        conds = main_theorem_conditions(Analysis(act))
         assert set(conds.values()) == {True}
 
 
+def test_main_theorem_all_false_on_an_infinite_module_side():
+    # `orthant` #32: the divisor side is finite and the module side is not,
+    # and the two module-side conditions are read from different values
+    an = Analysis(WeightedAction(4, 1, (), ((3,), (3,), (-3,), (-2,))))
+    assert an.reduced.divisor_exponent == 1
+    assert an.reduced.module_side_factors == (0,)
+    conds = main_theorem_conditions(an)
+    assert conds["module_side_finite"] is False
+    assert conds["module_exponent_finite"] is False
+    assert set(conds.values()) == {False}
+
+
 def test_corollary_13_check():
-    assert Analysis(action_5_7()).corollary_consistency() is True
-    assert Analysis(scaling_nonequidim_action()).corollary_consistency() is None
+    assert corollary_consistency(Analysis(action_5_7())) is True
+    assert corollary_consistency(Analysis(scaling_nonequidim_action())) is None
 
 
 def test_theorem_divisibility_on_fixtures():
@@ -159,7 +177,7 @@ def test_finite_component_reduction():
     assert an.finite_reduction_applied
     v = an.verdict
     assert v.equidimensional == "yes" and v.cofree == "yes" and v.oracle_agrees
-    assert an.corollary_consistency() is True
+    assert corollary_consistency(an) is True
 
 
 def test_quotient_singularity_counterexample_shape():
@@ -174,7 +192,7 @@ def test_quotient_singularity_counterexample_shape():
     v = an.verdict
     assert v.equidimensional == "yes" and v.cofree == "yes" and v.oracle_agrees
     assert an.obstruction.restriction.order == 1
-    assert an.corollary_consistency() is True
+    assert corollary_consistency(an) is True
 
 
 def test_corpus_210_obstruction_values():
@@ -253,20 +271,21 @@ def test_corpus_smoke():
         except CappedComputationError:
             continue
         assert v.oracle_agrees
-        assert an.corollary_consistency() is not False
+        assert corollary_consistency(an) is not False
         done += 1
     assert done >= 20
 
 
 @pytest.mark.parametrize("cap", [32, 48])
 def test_solver_norm_cap_is_applied_as_stated(cap):
-    # corpus pool #201 caps in a fiber search's completion fallback at every
-    # depth from 24 to 48 (and decides at 56): every fiber search must run
-    # under the stated cap
+    # corpus pool #201 with a bound-3 sweep caps in a fiber search's
+    # completion fallback at every depth from 24 to 48 (and decides at 56):
+    # every fiber search must run under the stated cap.  At the default
+    # bound 2 its group is certified, and only depths up to 32 cap.
     weights = ((0, 2), (3, 2), (0, -2), (-1, -2), (0, 2))
     act = WeightedAction(5, 2, (), weights, (((3, 1, -1, 2, 1), 2),))
     with pytest.raises(CappedComputationError) as err:
-        Analysis(act, Options(solver_norm_cap=cap)).verdict
+        Analysis(act, Options(solver_norm_cap=cap, sweep_bound=3)).verdict
     assert err.value.cap == cap
 
 

@@ -1,21 +1,25 @@
+import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from equitor.cli import parse_input
 from equitor.divisors import DivisorContext
-from equitor.oracles import paired_unit_lattice
-from equitor.pipeline import Analysis
+from equitor.oracles import paired_unit_lattice, t_consistency_check
+from equitor.pipeline import Analysis, Options
 from equitor.reduced import (
     qualified_lattice,
     reduced_class_groups,
     sweep_chars,
-    t_consistency_check,
 )
 from equitor.semigroup import WeightedAction, fiber_sample
 from equitor.subgroups import SubgroupOfA, weight_unit_lattice
 from conftest import action_5_7, action_5_8, polynomial_action
 from corpus import random_action
+
+FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
 
 # deep-facet instances of the benchmark's pools (seed 20260810), 1-based;
 # `orthant` drops the quotient congruences of the same draws
@@ -128,6 +132,49 @@ def test_empty_qualified_basis_is_certified_exact(index):
     assert an.qualified.basis_chars() == []
     assert an.reduced.exact
     assert an.exponent_with_provenance[1] == "exact"
+
+
+# instances whose certificate needs no fiber column: every invariant facet
+# has one facet over it, whose ramification index divides the valuations of
+# the basis characters' fiber points
+LINEAR_FIBERS = [
+    ("orthant", i)
+    for i in (28, 42, 53, 76, 78, 104, 132, 146, 181, 196, 229, 239, 249, 264, 265, 295, 309, 377, 385)
+] + [("corpus", i) for i in (52, 53, 76, 104, 132, 146, 148, 166, 181, 201)]
+
+
+@pytest.mark.parametrize("pool,index", LINEAR_FIBERS, ids=lambda x: str(x))
+def test_certified_groups_match_a_bound_4_sweep(pool, index):
+    act = _pool_action(pool, index)
+    an = Analysis(act)
+    assert an.reduced.exact
+    # corpus #201's bound-4 sweep needs a fiber beyond the default depth cap
+    wide = Analysis(act, Options(solver_norm_cap=128))
+    red = reduced_class_groups(wide.ctx, wide.qualified, 4)
+    assert red.divisor_side_factors == an.reduced.divisor_side_factors
+    assert red.module_side_factors == an.reduced.module_side_factors
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.stem)
+def test_certified_fixture_groups_match_a_bound_4_sweep(fixture):
+    an = Analysis(parse_input(json.loads(fixture.read_text()))[0])
+    assert an.reduced.exact
+    red = reduced_class_groups(an.ctx, an.qualified, 4)
+    assert red.divisor_side_factors == an.reduced.divisor_side_factors
+    assert red.module_side_factors == an.reduced.module_side_factors
+
+
+def test_corpus_6_fiber_minimum_is_piecewise_linear():
+    # over one invariant facet lie two facets, valued 0 and 2 on the fiber
+    # point of the basis character (4, 0): the fiber column stays in the
+    # envelope, and the bound-2 sweep does not fill it
+    an = Analysis(_pool_action("corpus", 6))
+    ctx = an.ctx
+    assert an.qualified.basis_chars() == [(4, 0)]
+    vals = ctx.S.valuation_vector(ctx.fiber_element((4, 0)))
+    assert any(sorted(vals[pi] for pi in fiber) == [0, 2] for fiber in ctx.cls.fibers)
+    assert not an.reduced.exact
+    assert an.exponent_with_provenance == (1, "swept")
 
 
 def test_qualified_lattice_runs_no_search():

@@ -3,6 +3,7 @@ import random
 
 from equitor.divisors import DivisorContext
 from equitor.lattice import Sublattice
+from equitor.oracles import restrict_action_to_subgroup
 from equitor.semigroup import Budget, WeightedAction, build_semigroup
 from equitor.subgroups import (
     FiniteAbelianData,
@@ -16,9 +17,7 @@ from equitor.subgroups import (
     pseudo_reflection_group,
     quotient_action,
     restriction_data,
-    restrict_action_to_subgroup,
     tor_subgroup,
-    trivial_subgroup,
     weight_unit_lattice,
     whole_group,
 )
@@ -29,6 +28,7 @@ from conftest import (
     ambient_torus_action,
     polynomial_action,
     scaling_action,
+    trivial_subgroup,
 )
 
 
@@ -58,8 +58,10 @@ def test_perp_involution_and_order_reversal():
 
 def test_perp_extremes():
     act = rank2_plus_torsion_action()
-    assert perp(SubgroupOfA.full(act)).is_trivial()
-    assert perp(SubgroupOfA.trivial(act)).is_whole_group()
+    k = act.char_length
+    full = SubgroupOfA.generated_by(act, [tuple(int(i == j) for i in range(k)) for j in range(k)])
+    assert perp(full) == trivial_subgroup(act)
+    assert perp(SubgroupOfA.trivial(act)) == whole_group(act)
     two = SubgroupOfA.generated_by(
         WeightedAction(ambient_dim=1, free_rank=1, torsion_moduli=(), weights=((1,),)),
         [(2,)],
@@ -71,7 +73,7 @@ def test_ineffective_kernel_faithful():
     act = ambient_torus_action()
     S = build_semigroup(act, Budget())
     L = ineffective_kernel(S, act)
-    assert L.is_trivial()
+    assert L == trivial_subgroup(act)
 
 
 def test_ineffective_kernel_5_8(fx58):
@@ -87,7 +89,7 @@ def test_ineffective_kernel_5_8(fx58):
 def test_ineffective_kernel_trivial_group():
     act = polynomial_action(2)
     S = build_semigroup(act, Budget())
-    assert ineffective_kernel(S, act).is_whole_group()
+    assert ineffective_kernel(S, act) == whole_group(act)
 
 
 def test_inertia_contains_kernel(fx57, fx58):
@@ -104,7 +106,7 @@ def test_inertia_generic_weights():
     for P in S.facets:
         I = inertia_subgroup(S, act, P)
         # the remaining three weights already span the character group
-        assert I.is_trivial()
+        assert I == trivial_subgroup(act)
 
 
 def test_reflection_group_trivial_on_quotients(fx57, fx58):
@@ -137,7 +139,7 @@ def test_reflection_group_scaling_torus_after_reduction():
     ctx = DivisorContext(reduced, Budget())
     L = ineffective_kernel(S2, reduced)
     refl = pseudo_reflection_group(S2, reduced, ctx.ht1_facets(), L)
-    assert refl.is_whole_group()
+    assert refl == whole_group(reduced)
 
 
 def test_tor_subgroup_examples():
@@ -267,30 +269,27 @@ def test_reflection_of_quotient_is_product(fx57, fx58):
 
 
 def test_derived_subgroups():
-    from equitor.divisors import DivisorContext
-    from equitor.subgroups import derived_subgroups
+    # the kernels cut out by the unit and qualified weight groups
+    from equitor.pipeline import Analysis
 
     for act in (action_5_7(), action_5_8()):
-        ctx = DivisorContext(act, Budget())
-        units = weight_unit_lattice(ctx.S.hilbert_basis, act)
+        an = Analysis(act)
+        ctx, units, qualified = an.ctx, an.units, an.qualified.group
         assert ctx.cls.no_blowing_up
         # both fixtures have trivial reflection restriction, so the qualified
         # lattice is the full unit-weight group
-        got = derived_subgroups(ctx.S, act, units, units)
+        assert qualified == units
+        assert units.contains_subgroup(qualified)
         L = ineffective_kernel(ctx.S, act)
         # the stability kernel acts trivially (the actions are stable)
-        assert restriction_data(got["stability_kernel"], L).order == 1
+        assert restriction_data(perp(units), L).order == 1
         # qualified kernel contains the stability kernel dually
-        assert got["qualified_kernel"].contains(got["stability_kernel"]) or (
-            got["qualified_kernel"] == got["stability_kernel"]
-        )
+        assert perp(qualified).contains(perp(units))
 
     act = polynomial_action(2)
     ctx = DivisorContext(act, Budget())
     units = weight_unit_lattice(ctx.S.hilbert_basis, act)
-    got = derived_subgroups(ctx.S, act, units, units)
-    for H in got.values():
-        assert H.is_whole_group()  # the trivial group's only subgroup
+    assert perp(units) == whole_group(act)  # the trivial group's only subgroup
 
 
 def test_restrict_action_to_subgroup():

@@ -1,7 +1,7 @@
 """Source-level guarantees: no state that outlives one analysis, no cap or
 cache outside the analysis's budget, no search in the group layers, no
 invariant check that `python -O` can strip, and no name the engine never
-calls unless it is a declared entry point or reference route."""
+calls outside the reference routes of `oracles.py`."""
 
 import ast
 import importlib.util
@@ -147,30 +147,6 @@ def test_group_layers_run_no_search():
     assert found == []
 
 
-# Functions, methods and classes that no code in src/equitor calls, each
-# with the reason it stays.  Every other name must have an engine caller.
-KEPT_WITHOUT_ENGINE_CALLER = {
-    # reference routes: independent computations the tests compare against
-    "paired_unit_lattice": "Hilbert basis of the paired system, the route to weight_unit_lattice",
-    "brute_force_class_order": "enumeration route to QuotientGroup.order_of",
-    "restrict_action_to_subgroup": "runs the oracles on the action of a subgroup",
-    "min_free_multiple": "search route to the freeness exponent",
-    "main_theorem_conditions": "the paper's equivalent conditions, each evaluated on its own",
-    "t_consistency_check": "wide-sweep route to certified_exponent",
-    "corollary_consistency": "cofree iff the obstruction restricts trivially (acceptance 6)",
-    "derived_subgroups": "kernels of the unit and qualified weight groups, checked for inclusion",
-    # checks on engine results that the tests state through the public API
-    "class_order": "exact class order that acceptance 7 sets against the brute force",
-    "principal_facet_flags": "upstairs principality, set against obstructing_facet_flags",
-    "sub": "DivisorVector difference behind the character-divisor identities",
-    "mul": "U*M*V = S check of smith_normal_form",
-    "is_diagonal": "diagonal check of smith_normal_form",
-    "is_whole_group": "subgroup predicate of the test assertions",
-    "is_trivial": "subgroup predicate of the test assertions",
-    "trivial_subgroup": "the trivial subgroup, counterpart of whole_group",
-}
-
-
 def _uncalled_names():
     """Definitions whose name no Name or attribute in src/equitor mentions
     outside the definition itself, as "module:line:name".  Matching is by
@@ -197,12 +173,46 @@ def _uncalled_names():
     return found
 
 
+def _names_in_tests() -> set[str]:
+    """Every Name, attribute and imported name that a test file mentions."""
+    out = set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name.rpartition(".")[2])
+    return out
+
+
 def test_every_name_has_an_engine_caller():
+    # a definition no engine code calls is a declared reference route: a
+    # module-level function of oracles.py, and some test names it
+    oracles = dict(_modules())["oracles.py"]
+    routes = {
+        f"oracles.py:{node.lineno}:{node.name}"
+        for node in oracles.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
     uncalled = _uncalled_names()
-    assert [e for e in uncalled if e.rsplit(":", 1)[1] not in KEPT_WITHOUT_ENGINE_CALLER] == []
-    # the set names nothing that has since gained a caller or been deleted
-    kept = {e.rsplit(":", 1)[1] for e in uncalled}
-    assert sorted(set(KEPT_WITHOUT_ENGINE_CALLER) - kept) == []
+    assert [e for e in uncalled if e not in routes] == []
+    named = _names_in_tests()
+    assert [e for e in uncalled if e.rsplit(":", 1)[1] not in named] == []
+
+
+def test_only_the_pipeline_and_cli_import_the_oracles():
+    # reference routes may read engine results, never the other way round
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module == "oracles"
+        and name not in ("pipeline.py", "cli.py")
+    ]
+    assert found == []
 
 
 def test_every_benchmark_target_resolves(monkeypatch):
