@@ -22,9 +22,17 @@ from .semigroup import WeightedAction
 Vec = tuple[int, ...]
 
 
+def integer(value, where: str) -> int:
+    """The type check of every integer of the input document: a JSON
+    boolean, float or string is bad input, never read as a number."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{where}: expected an integer")
+    return value
+
+
 def nonnegative(value: int, where: str) -> int:
-    """The range check of every option and bound flag: 0 is a bound like
-    any other, a negative value is bad input."""
+    """The range check of every option, bound flag and congruence modulus:
+    0 is a bound like any other, a negative value is bad input."""
     if value < 0:
         raise InputError(f"{where}: expected an integer >= 0")
     return value
@@ -41,8 +49,8 @@ def parse_input(doc, where: str = "$") -> tuple[WeightedAction, Options]:
                 raise InputError(f"{where}.{key}: missing")
             return default
         val = doc[key]
-        if typ is int and (not isinstance(val, int) or isinstance(val, bool)):
-            raise InputError(f"{where}.{key}: expected an integer")
+        if typ is int:
+            integer(val, f"{where}.{key}")
         if typ is list and not isinstance(val, list):
             raise InputError(f"{where}.{key}: expected a list")
         return val
@@ -55,48 +63,34 @@ def parse_input(doc, where: str = "$") -> tuple[WeightedAction, Options]:
     if n < 0 or rank < 0:
         raise InputError(f"{where}: dimensions must be nonnegative")
     for i, m in enumerate(moduli):
-        if not isinstance(m, int) or m < 2:
+        if integer(m, f"{where}.torsion_moduli[{i}]") < 2:
             raise InputError(f"{where}.torsion_moduli[{i}]: expected an integer >= 2")
     k = rank + len(moduli)
     if len(weights) != n:
         raise InputError(f"{where}.weights: expected {n} entries (one per variable)")
     wvecs = []
     for i, w in enumerate(weights):
-        if not isinstance(w, list) or len(w) != k or not all(isinstance(x, int) for x in w):
+        if not isinstance(w, list) or len(w) != k:
             raise InputError(f"{where}.weights[{i}]: expected a list of {k} integers")
-        wvecs.append(tuple(w))
+        wvecs.append(tuple(integer(x, f"{where}.weights[{i}][{j}]") for j, x in enumerate(w)))
     cvecs = []
     for i, c in enumerate(congs):
+        at = f"{where}.quotient_congruences[{i}]"
         if not isinstance(c, dict) or "coeffs" not in c or "modulus" not in c:
-            raise InputError(
-                f"{where}.quotient_congruences[{i}]: expected an object with coeffs and modulus"
-            )
+            raise InputError(f"{at}: expected an object with coeffs and modulus")
         coeffs = c["coeffs"]
-        m = c["modulus"]
-        if (
-            not isinstance(coeffs, list)
-            or len(coeffs) != n
-            or not all(isinstance(x, int) for x in coeffs)
-        ):
-            raise InputError(
-                f"{where}.quotient_congruences[{i}].coeffs: expected a list of {n} integers"
-            )
-        if not isinstance(m, int) or m < 0:
-            raise InputError(
-                f"{where}.quotient_congruences[{i}].modulus: expected an integer >= 0"
-            )
-        cvecs.append((tuple(coeffs), m))
+        if not isinstance(coeffs, list) or len(coeffs) != n:
+            raise InputError(f"{at}.coeffs: expected a list of {n} integers")
+        coeffs = tuple(integer(x, f"{at}.coeffs[{j}]") for j, x in enumerate(coeffs))
+        cvecs.append((coeffs, nonnegative(integer(c["modulus"], f"{at}.modulus"), f"{at}.modulus")))
     opts = doc.get("options", {})
     if not isinstance(opts, dict):
         raise InputError(f"{where}.options: expected an object")
     values = {}
     for f in dataclasses.fields(Options):
         if f.name in opts:
-            try:
-                value = int(opts[f.name])
-            except (TypeError, ValueError) as e:
-                raise InputError(f"{where}.options.{f.name}: expected an integer") from e
-            values[f.name] = nonnegative(value, f"{where}.options.{f.name}")
+            at = f"{where}.options.{f.name}"
+            values[f.name] = nonnegative(integer(opts[f.name], at), at)
     options = Options(**values)
     try:
         action = WeightedAction(
@@ -184,7 +178,9 @@ def analyze_report(an: Analysis) -> dict:
 def run(command: str, doc, flags) -> dict:
     action, options = parse_input(doc)
     report: dict = {"command": command, "input": echo_input(action, options)}
-    if command == "cofree" and flags.degree_cap is not None:
+    # both flags are checked on every command; --degree-cap replaces the option
+    bound = options.sweep_bound if flags.bound is None else nonnegative(flags.bound, "--bound")
+    if flags.degree_cap is not None:
         options = dataclasses.replace(options, degree_cap=nonnegative(flags.degree_cap, "--degree-cap"))
     an = Analysis(action, options)
     if command == "analyze":
@@ -233,9 +229,7 @@ def run(command: str, doc, flags) -> dict:
                 "chi": list(chi),
                 "free": free,
                 "witness": list(wit) if wit is not None else None,
-                "oracle": bounded_freeness_oracle(
-                    an.ctx.S_G, an.action, chi, options.degree_cap, budget=an.budget
-                ),
+                "oracle": bounded_freeness_oracle(an.ctx.S_G, an.action, chi, options.degree_cap),
             }
         )
     elif command == "obstruction":
@@ -285,7 +279,6 @@ def run(command: str, doc, flags) -> dict:
             }
         )
     elif command == "sweep":
-        bound = options.sweep_bound if flags.bound is None else nonnegative(flags.bound, "--bound")
         red = reduced_class_groups(an.ctx, an.qualified, bound)
         report.update(
             {

@@ -327,7 +327,7 @@ class DivisorContext:
         """
         chi = self.action.reduce_char(chi)
         a0 = self.fiber_element(chi)
-        slice_ = enumerate_fiber(self.action, chi, sum(a0), budget=self.budget)
+        slice_ = enumerate_fiber(self.action, chi, sum(a0))
         dmin = sum(slice_[0])
         mins = [b for b in slice_ if sum(b) == dmin]
         if len(mins) > 1:

@@ -3,9 +3,10 @@ records set against the engine.  This module is their one home.
 
 Brute-force ground truth, deliberately naive and independent of the
 divisor-theoretic path: null-fiber dimension by face enumeration, bounded
-module freeness by degree slices, divisor class orders by direct
-diophantine solves, and unit weights by the Hilbert basis of a paired
-system.  The pipeline runs the first two beside every verdict.
+module freeness by listing one weight fiber up to a degree cap, divisor
+class orders by direct diophantine solves, and unit weights by the Hilbert
+basis of a paired system.  The pipeline runs the first two beside every
+verdict; they run no capped search and read no budget.
 
 Consistency records on one analysis, which the engine never runs: the main
 theorem's equivalent conditions, each evaluated on its own; the corollary
@@ -110,15 +111,15 @@ def bounded_freeness_oracle(
     action: WeightedAction,
     chi: Vec,
     degree_cap: int,
-    budget: Budget,
 ) -> str:
-    """Tri-state freeness check on the degree slice [0, degree_cap].
+    """Tri-state freeness check on the weight-chi fiber in degrees
+    [0, degree_cap].
 
-    Finds the minimal-degree fiber monomial and compares the sliced fiber
+    Takes the minimal-degree fiber monomial and compares the listed fiber
     with its translate of the invariant semigroup; a violation inside the
-    slice is conclusive, agreement is a verdict only at this cap.
+    cap is conclusive, agreement is a verdict only at this cap.
     """
-    fiber = enumerate_fiber(action, chi, degree_cap, budget=budget)
+    fiber = enumerate_fiber(action, chi, degree_cap)
     if not fiber:
         return INCONCLUSIVE
     a = fiber[0]

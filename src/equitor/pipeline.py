@@ -56,7 +56,7 @@ UNKNOWN = "unknown-capped"
 class Options:
     sweep_bound: int = 2
     wide_bound: int = 3
-    degree_cap: int = 12  # oracle degree slices
+    degree_cap: int = 12  # degree bound of the oracle's fiber walk
     max_candidates: int = Budget.max_nodes
     solver_norm_cap: int = Budget.max_norm  # completion-solver breadth-first depth
 
@@ -198,9 +198,7 @@ class Analysis:
 
     @cached_property
     def reflection(self) -> SubgroupOfG:
-        return pseudo_reflection_group(
-            self.ctx.S, self.action, self.ctx.ht1_facets(), self.kernel
-        )
+        return pseudo_reflection_group(self.action, self.ctx.ht1_facets(), self.kernel)
 
     @cached_property
     def reflection_restriction(self) -> FiniteAbelianData:
@@ -247,7 +245,6 @@ class Analysis:
         H = tor_subgroup(coprime, self.kernel).join(tor_subgroup(refl_part, F))
         ctx_h = self.context_for(H)
         obs = pseudo_reflection_group(
-            ctx_h.S,
             ctx_h.action,
             ctx_h.ht1_facets(),
             ctx_h.kernel,
@@ -298,9 +295,7 @@ class Analysis:
         checked = 0
         for chi in sorted(chars):
             free, _wit = ctx.free_test(chi)
-            verdict = bounded_freeness_oracle(
-                ctx.S_G, act, chi, self.options.degree_cap, budget=ctx.budget
-            )
+            verdict = bounded_freeness_oracle(ctx.S_G, act, chi, self.options.degree_cap)
             if verdict != INCONCLUSIVE:
                 checked += 1
                 if verdict == NO and free:

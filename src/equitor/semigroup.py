@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from operator import add, ge
+from operator import add, ge, mul
 
 from .errors import CappedComputationError, InputError, InvariantViolationError
 from .lattice import (
@@ -56,11 +56,13 @@ class Budget:
 
     `max_norm` bounds the completion solver's breadth-first depth;
     `max_nodes` bounds the candidates of the completion solver and the
-    nodes of the coset search.  Every solver, sampler, oracle and divisor
-    context takes the budget as a required argument, and these are the
-    only memo tables (semigroups, fiber points, weight slices) in the
-    engine: they live and die with the budget, so no result depends on
-    what an earlier analysis computed or under which caps.
+    nodes of the coset search.  Every solver, sampler and divisor context
+    takes the budget as a required argument.  Its tables of semigroups and
+    fiber points are the only memo tables in the engine: they live and die
+    with the budget, so no result depends on what an earlier analysis
+    computed or under which caps.  The bounded walk of one fiber
+    (`enumerate_fiber`) and the freeness oracle built on it run no capped
+    search and keep no table, so they read no budget.
 
     Two deterministic counters record the completion solver's work:
     `nodes` sums its candidates over all calls, and `norm_reached` is the
@@ -71,7 +73,6 @@ class Budget:
     max_nodes: int = 10**6
     semigroups: dict = field(default_factory=dict, repr=False)
     fibers: dict = field(default_factory=dict, repr=False)
-    slices: dict = field(default_factory=dict, repr=False)
     nodes: int = 0
     norm_reached: int = 0
 
@@ -208,7 +209,7 @@ class AffineSemigroup:
 
 
 def _dot(a: Vec, b: Vec) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def minimal_nonneg_solutions(
@@ -450,94 +451,51 @@ def fiber_sample(
     return got
 
 
-def _weight_slices(action: WeightedAction, degree_cap: int) -> dict[Vec, tuple[Vec, ...]]:
-    """Semigroup elements of degree <= cap, grouped by weight, graded-lex.
+def enumerate_fiber(action: WeightedAction, chi: Vec, degree_cap: int) -> list[Vec]:
+    """All weight-chi semigroup elements of total degree <= degree_cap, graded-lex.
 
-    The linear map a -> (raw weight, congruence values) is packed into one
-    integer code in balanced base B, wide enough that no digit overflows
-    under the degree cap, so a step of the walk is one addition.  Each
-    distinct code is decoded once (reduced to a character, checked against
-    the congruences); the walk runs in graded-lex order, so every group
-    fills in sorted.
+    A depth-first walk over the variables that enters only the weight-chi
+    fiber.  The exact rows (the free weight coordinates with target chi,
+    the modulus-0 congruences with target 0) prune every prefix: with r
+    degrees left, the rest of the vector adds to a row between r times the
+    least and r times the greatest of its remaining coefficients and 0.
+    The variables that some exact row reads are walked first, so the others
+    cost only their share of the output, and a last variable that an exact
+    row reads is solved from that row.  The modular rows (torsion
+    coordinates, congruences of modulus m > 0) are checked at the leaves.
     """
-    k = action.char_length
-    forms = [tuple(w[i] for w in action.weights) for i in range(k)]
-    forms += [coeffs for coeffs, _ in action.congruences]
-    base = 2 * degree_cap * max((abs(c) for f in forms for c in f), default=0) + 1
-    steps = [sum(f[j] * base**i for i, f in enumerate(forms)) for j in range(action.ambient_dim)]
-    moduli = [m for _, m in action.congruences]
-    slices: dict[Vec, list[Vec]] = {}
-    by_code: dict[int, list[Vec] | None] = {}  # None: the congruences fail
-    for vecs, codes in _graded_lex_walk(steps, degree_cap):
-        for v, code in zip(vecs, codes):
-            group = by_code.get(code, False)
-            if group is False:
-                values = _balanced_digits(code, base, len(forms))
-                group = None
-                if all(x % m == 0 if m else x == 0 for x, m in zip(values[k:], moduli)):
-                    group = slices.setdefault(action.reduce_char(tuple(values[:k])), [])
-                by_code[code] = group
-            if group is not None:
-                group.append(v)
-    return {chi: tuple(vs) for chi, vs in slices.items()}
-
-
-def _graded_lex_walk(steps: list[int], cap: int):
-    """Yield, for d = 0..cap, the vectors a of Z_0^n of degree d in lex
-    order, with their codes sum(a_j * steps[j]).
-
-    Per-degree tables for the trailing coordinates are built from the last
-    coordinate forwards, so each vector is one tuple concatenation and its
-    code one addition; the full-length vectors are made one degree at a
-    time.
-    """
-    table = [([()], [0])] + [([], [])] * cap
-    for step in reversed(steps[1:]):
-        table = [_prepend_coordinate(step, table, d) for d in range(cap + 1)]
-    if not steps:
-        yield from table
-        return
-    for d in range(cap + 1):
-        yield _prepend_coordinate(steps[0], table, d)
-
-
-def _prepend_coordinate(
-    step: int, table: list[tuple[list[Vec], list[int]]], d: int
-) -> tuple[list[Vec], list[int]]:
-    """Degree-d vectors and codes with one more leading coordinate, lex order."""
-    vecs: list[Vec] = []
-    codes: list[int] = []
-    for h in range(d + 1):
-        head, offset = (h,), h * step
-        tail_vecs, tail_codes = table[d - h]
-        vecs += [head + t for t in tail_vecs]
-        codes += [offset + c for c in tail_codes]
-    return vecs, codes
-
-
-def _balanced_digits(code: int, base: int, count: int) -> list[int]:
-    """The `count` digits of `code` in base `base` (odd), each in
-    [-(base // 2), base // 2], least significant first."""
-    half = base // 2
-    digits = []
-    for _ in range(count):
-        code, r = divmod(code + half, base)
-        digits.append(r - half)
-    return digits
-
-
-def enumerate_fiber(
-    action: WeightedAction,
-    chi: Vec,
-    degree_cap: int,
-    *,
-    budget: Budget,
-) -> list[Vec]:
-    """All weight-chi semigroup elements of total degree <= degree_cap, graded-lex."""
     if degree_cap < 0:
         raise InputError("degree cap must be >= 0")
-    key = (action, degree_cap)
-    slices = budget.slices.get(key)
-    if slices is None:
-        slices = budget.slices[key] = _weight_slices(action, degree_cap)
-    return list(slices.get(action.reduce_char(chi), ()))
+    n = action.ambient_dim
+    targets = action.reduce_char(chi) + (0,) * len(action.congruences)
+    rows = [(*row, t) for row, t in zip(action.weight_rows() + list(action.congruences), targets)]
+    exact = [(c, t) for c, m, t in rows if not m]
+    modular = [(c, m, t) for c, m, t in rows if m]
+    order = sorted(range(n), key=lambda j: not any(c[j] for c, _ in exact))
+    coeffs = [tuple(c[j] for j in order) for c, _ in exact]  # in walk order
+    spans = [[(min(c[p:] + (0,)), max(c[p:] + (0,))) for c in coeffs] for p in range(n + 1)]
+    pivot = next((e for e, c in enumerate(coeffs) if c[-1]), None) if n else None
+    out: list[Vec] = []
+    x = [0] * n  # the walk's vector, in walk order
+
+    def walk(p: int, residual: tuple[int, ...], r: int):
+        if any(not r * lo <= v <= r * hi for v, (lo, hi) in zip(residual, spans[p])):
+            return
+        if p == n:
+            a = [0] * n
+            for j, v in zip(order, x):
+                a[j] = v
+            if all((_dot(c, a) - t) % m == 0 for c, m, t in modular):
+                out.append(tuple(a))
+            return
+        values = range(r + 1)
+        if p == n - 1 and pivot is not None:
+            v, rem = divmod(residual[pivot], coeffs[pivot][p])
+            values = [v] if rem == 0 and 0 <= v <= r else []
+        for v in values:
+            x[p] = v
+            walk(p + 1, tuple(s - v * c[p] for s, c in zip(residual, coeffs)), r - v)
+        x[p] = 0
+
+    walk(0, tuple(t for _, t in exact), degree_cap)
+    return sorted(out, key=lambda v: (sum(v), v))

@@ -129,9 +129,7 @@ def ineffective_kernel(S: AffineSemigroup, action: WeightedAction) -> SubgroupOf
     return SubgroupOfG(SubgroupOfA.generated_by(action, gens))
 
 
-def inertia_subgroup(
-    S: AffineSemigroup, action: WeightedAction, P: FacetPrime
-) -> SubgroupOfG:
+def inertia_subgroup(action: WeightedAction, P: FacetPrime) -> SubgroupOfG:
     """Elements congruent to the identity modulo the facet prime P.
 
     An element fixes K[S]/P iff it fixes every monomial off P, i.e. its
@@ -238,7 +236,6 @@ def is_stable(S: AffineSemigroup, action: WeightedAction, units: SubgroupOfA) ->
 
 
 def pseudo_reflection_group(
-    S: AffineSemigroup,
     action: WeightedAction,
     ht1_facets: list[FacetPrime],
     kernel: SubgroupOfG,
@@ -255,5 +252,5 @@ def pseudo_reflection_group(
     for P in ht1_facets:
         if principal_flags is not None and principal_flags[P.index]:
             continue
-        out = out.join(inertia_subgroup(S, action, P))
+        out = out.join(inertia_subgroup(action, P))
     return out

@@ -161,7 +161,7 @@ def test_acceptance_4_divisor_identities():
         # fiber independence: recompute from several enumerated fiber elements
         for chi in chars[:12]:
             D = ctx.char_divisor(chi)
-            fib = enumerate_fiber(act, chi, 12, budget=Budget())
+            fib = enumerate_fiber(act, chi, 12)
             assert len(fib) >= 2
             for a in fib[:3]:
                 assert ctx._char_divisor_from(a) == D
@@ -289,7 +289,7 @@ def test_acceptance_7_dual_paths():
             if ctx.S.contains(deg_vec):
                 seen.add(act.weight_of(deg_vec))
         for chi in sorted(seen):
-            verdict = bounded_freeness_oracle(ctx.S_G, act, chi, 12, ctx.budget)
+            verdict = bounded_freeness_oracle(ctx.S_G, act, chi, 12)
             assert verdict in (YES, NO)
             assert (verdict == YES) == ctx.free_test(chi)[0], chi
             freeness_checked += 1

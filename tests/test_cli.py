@@ -201,6 +201,24 @@ def test_negative_flag_exits_2(command, flag):
     assert f"{flag}: expected an integer >= 0" in proc.stderr
 
 
+COMMANDS = ["analyze", "invariants", "class-group", "dchi", "free", "obstruction", "equidim", "cofree", "sweep"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_negative_flags_exit_2_on_every_command(command, capsys):
+    for flag in ("--bound", "--degree-cap"):
+        assert main([command, str(FIXTURES / "example_5_8.json"), "--chi", "0,3", f"{flag}=-4"]) == 2
+        assert f"{flag}: expected an integer >= 0" in capsys.readouterr().err
+
+
+def test_free_honours_the_degree_cap():
+    # no weight-(0, 3) element has degree 0, so a cap of 0 leaves the oracle
+    # without a fiber; the default cap of 12 decides it
+    args = ("free", str(FIXTURES / "example_5_8.json"), "--chi", "0,3")
+    assert run_json(*args)["oracle"] == "yes"
+    assert run_json(*args, "--degree-cap", "0")["oracle"] == "inconclusive"
+
+
 def test_zero_flags_are_honoured():
     # a flag of 0 is a bound, not "not given" (the defaults are 2 and 12)
     rep = run_json("sweep", str(FIXTURES / "example_5_7.json"), "--bound", "0")
@@ -245,6 +263,38 @@ def test_fourier_motzkin_cap_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(equitor.lattice, "FM_MAX_ROWS", 0)
     assert main(["analyze", str(FIXTURES / "example_5_7.json")]) == 3
     assert "Fourier-Motzkin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [2.9, True, "3"], ids=repr)
+def test_options_must_be_integers(value):
+    # int() would read these as 2, 1 and 3
+    doc = {"ambient_dim": 1, "torus_rank": 1, "weights": [[1]], "options": {"sweep_bound": value}}
+    with pytest.raises(InputError, match=r"\$\.options\.sweep_bound: expected an integer$"):
+        parse_input(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"weights": [[True]]}, r"\$\.weights\[0\]\[0\]"),
+        ({"weights": [[1.0]]}, r"\$\.weights\[0\]\[0\]"),
+        ({"quotient_congruences": [{"coeffs": [True], "modulus": 2}]}, r"\$\.quotient_congruences\[0\]\.coeffs\[0\]"),
+        ({"quotient_congruences": [{"coeffs": [1], "modulus": True}]}, r"\$\.quotient_congruences\[0\]\.modulus"),
+        ({"torsion_moduli": [True]}, r"\$\.torsion_moduli\[0\]"),
+        ({"ambient_dim": "1"}, r"\$\.ambient_dim"),
+    ],
+    ids=["weight-true", "weight-float", "coeff-true", "modulus-true", "torsion-true", "dim-string"],
+)
+def test_every_integer_field_rejects_non_integers(tmp_path, doc, where):
+    # a JSON true is a Python int: unchecked, it would be stored as True,
+    # echoed as true, and a modulus of true would become modulus 1
+    doc = {"ambient_dim": 1, "torus_rank": 1, "weights": [[1]], **doc}
+    with pytest.raises(InputError, match=where + ": expected an integer$"):
+        parse_input(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("analyze", str(path))
+    assert proc.returncode == 2 and "expected an integer" in proc.stderr
 
 
 def test_unknown_option_keys_ignored_and_defaults_from_options():

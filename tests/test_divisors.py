@@ -145,7 +145,7 @@ def test_char_divisor_independence_across_fibers(fx57, fx58):
         ctx = ctx_of(action)
         for chi in chars:
             D = ctx.char_divisor(chi)
-            fib = enumerate_fiber(action, chi, 10, budget=Budget())
+            fib = enumerate_fiber(action, chi, 10)
             assert len(fib) >= 2
             for a in fib[:4]:
                 assert ctx._char_divisor_from(a) == D

@@ -71,9 +71,9 @@ def test_null_fiber_monotone_under_more_invariants(fx57):
 def test_bounded_freeness_oracle_basics(fx58):
     act = fx58
     _S, SG = semigroup_pair(act)
-    assert bounded_freeness_oracle(SG, act, (0, 0), 8, Budget()) == YES
-    assert bounded_freeness_oracle(SG, act, (0, 1), 12, Budget()) == NO
-    assert bounded_freeness_oracle(SG, act, (1, 0), 12, Budget()) == INCONCLUSIVE
+    assert bounded_freeness_oracle(SG, act, (0, 0), 8) == YES
+    assert bounded_freeness_oracle(SG, act, (0, 1), 12) == NO
+    assert bounded_freeness_oracle(SG, act, (1, 0), 12) == INCONCLUSIVE
 
 
 def test_bounded_freeness_agrees_with_divisor_test(fx57, fx58):
@@ -86,7 +86,7 @@ def test_bounded_freeness_agrees_with_divisor_test(fx57, fx58):
             chars.add(act.char_scale(-1, w))
             chars.add(act.char_scale(2, w))
         for chi in sorted(chars):
-            verdict = bounded_freeness_oracle(ctx.S_G, act, chi, 12, ctx.budget)
+            verdict = bounded_freeness_oracle(ctx.S_G, act, chi, 12)
             if verdict == INCONCLUSIVE:
                 continue
             assert (verdict == YES) == ctx.free_test(chi)[0], chi

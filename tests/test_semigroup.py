@@ -188,7 +188,7 @@ def test_fiber_sample_unrealized_certified_by_saturation(fx58):
 
 def test_enumerate_fiber_matches_loop(fx58):
     action = fx58
-    got = enumerate_fiber(action, (0, 0), 4, budget=Budget())
+    got = enumerate_fiber(action, (0, 0), 4)
     assert (0, 0, 0, 0) in got
     assert (1, 1, 1, 1) in got
     assert (0, 0, 3, 1) in got
@@ -201,7 +201,7 @@ def test_enumerate_fiber_matches_loop(fx58):
 
 
 def test_enumerate_fiber_zero_cap(fx57):
-    assert enumerate_fiber(fx57, (0, 0), 0, budget=Budget()) == [(0, 0, 0, 0)]
+    assert enumerate_fiber(fx57, (0, 0), 0) == [(0, 0, 0, 0)]
 
 
 def test_fiber_avoids_prime_trivial_cases():
@@ -218,7 +218,7 @@ def test_fiber_avoids_prime_vs_enumeration(fx58):
     action = fx58
     S = build_semigroup(action, Budget())
     for chi in [(0, 0), (0, 1), (0, -1), (0, 2), (0, 3)]:
-        fib = enumerate_fiber(action, chi, 12, budget=Budget())
+        fib = enumerate_fiber(action, chi, 12)
         for P in S.facets:
             seen_off = any(a[P.coord] == 0 for a in fib)
             got = fiber_sample(action, chi, equal={P.coord: 0}, budget=Budget()) is not None
@@ -374,7 +374,7 @@ def test_coset_search_runs_under_the_budget_node_cap():
 def test_fiber_sample_bounds_match_enumeration(fx58):
     budget = Budget()
     for chi in [(0, 0), (0, 1), (0, -1), (0, 3)]:
-        fib = enumerate_fiber(fx58, chi, 12, budget=Budget())
+        fib = enumerate_fiber(fx58, chi, 12)
         for coord in range(fx58.ambient_dim):
             for bound in range(3):
                 got = fiber_sample(fx58, chi, upper={coord: bound}, degree_limit=12, budget=budget)
@@ -411,7 +411,7 @@ def test_fiber_sample_decides_finite_fibers(case):
     # a weight-chi element has degree <= chi[0], so the slice at that degree
     # holds the whole fiber
     action, chi = case
-    fib = enumerate_fiber(action, chi, chi[0], budget=Budget())
+    fib = enumerate_fiber(action, chi, chi[0])
     got = fiber_sample(action, chi, budget=Budget())
     assert (got is None) == (not fib)
     if got is not None:

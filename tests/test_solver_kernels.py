@@ -1,4 +1,4 @@
-"""The completion solver and the weight-slice walk against brute force, and
+"""The completion solver and the weight-fiber walk against brute force, and
 the deterministic work counters that pin their searches."""
 
 import dataclasses
@@ -19,8 +19,8 @@ from equitor.pipeline import Analysis
 from equitor.semigroup import (
     Budget,
     WeightedAction,
-    _weight_slices,
     build_semigroup,
+    enumerate_fiber,
     minimal_nonneg_solutions,
 )
 from equitor.subgroups import perp, quotient_action
@@ -95,13 +95,21 @@ def actions(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(actions(), st.integers(0, 6))
-@example(WeightedAction(3, 1, (), ((0,), (0,), (0,))), 4)  # all-zero weights: base 1
+@example(WeightedAction(3, 1, (), ((0,), (0,), (0,))), 4)  # all-zero weights: no row prunes
 @example(WeightedAction(2, 0, (3,), ((1,), (2,)), (((1, -1), 0),)), 5)
 @example(WeightedAction(2, 1, (2,), ((-3, 1), (3, 1)), (((1, 2), 2),)), 0)
 @example(WeightedAction(0, 1, (), ()), 3)
 @example(WeightedAction(1, 1, (3,), ((-2, 2),)), 6)
 def test_weight_slices_match_enumeration(action, cap):
-    assert _weight_slices(action, cap) == _naive_slices(action, cap)
+    naive = _naive_slices(action, cap)
+    for chi, group in naive.items():
+        assert enumerate_fiber(action, chi, cap) == list(group)
+    # a free coordinate of 3 * cap + 1 is out of reach, so a box that wide
+    # holds an unrealized character unless the group is finite and covered
+    box = itertools.product(range(3 * cap + 2), repeat=action.char_length)
+    unrealized = next((chi for chi in map(action.reduce_char, box) if chi not in naive), None)
+    if unrealized is not None:
+        assert enumerate_fiber(action, unrealized, cap) == []
 
 
 def _fixture_analysis(name, **changes):

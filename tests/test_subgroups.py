@@ -97,14 +97,14 @@ def test_inertia_contains_kernel(fx57, fx58):
         S = build_semigroup(act, Budget())
         L = ineffective_kernel(S, act)
         for P in S.facets:
-            assert inertia_subgroup(S, act, P).contains(L)
+            assert inertia_subgroup(act, P).contains(L)
 
 
 def test_inertia_generic_weights():
     act = ambient_torus_action()
     S = build_semigroup(act, Budget())
     for P in S.facets:
-        I = inertia_subgroup(S, act, P)
+        I = inertia_subgroup(act, P)
         # the remaining three weights already span the character group
         assert I == trivial_subgroup(act)
 
@@ -113,7 +113,7 @@ def test_reflection_group_trivial_on_quotients(fx57, fx58):
     for act in (fx57, fx58):
         ctx = DivisorContext(act, Budget())
         L = ineffective_kernel(ctx.S, act)
-        refl = pseudo_reflection_group(ctx.S, act, ctx.ht1_facets(), L)
+        refl = pseudo_reflection_group(act, ctx.ht1_facets(), L)
         data = restriction_data(refl, L)
         assert data is not None and data.order == 1
 
@@ -122,7 +122,7 @@ def test_reflection_group_ambient_action():
     act = action_5_7_ambient()
     ctx = DivisorContext(act, Budget())
     L = ineffective_kernel(ctx.S, act)
-    refl = pseudo_reflection_group(ctx.S, act, ctx.ht1_facets(), L)
+    refl = pseudo_reflection_group(act, ctx.ht1_facets(), L)
     data = restriction_data(refl, L)
     assert data is not None and data.order == 1
 
@@ -138,7 +138,7 @@ def test_reflection_group_scaling_torus_after_reduction():
     S2 = build_semigroup(reduced, Budget())
     ctx = DivisorContext(reduced, Budget())
     L = ineffective_kernel(S2, reduced)
-    refl = pseudo_reflection_group(S2, reduced, ctx.ht1_facets(), L)
+    refl = pseudo_reflection_group(reduced, ctx.ht1_facets(), L)
     assert refl == whole_group(reduced)
 
 
@@ -258,13 +258,13 @@ def test_reflection_of_quotient_is_product(fx57, fx58):
     for act in (action_5_7(), action_5_8()):
         ctx = DivisorContext(act, Budget())
         L = ineffective_kernel(ctx.S, act)
-        refl = pseudo_reflection_group(ctx.S, act, ctx.ht1_facets(), L)
+        refl = pseudo_reflection_group(act, ctx.ht1_facets(), L)
         for m in (2, 3):
             N = tor_subgroup(m, L)
             ctx_n = DivisorContext(quotient_action(act, N), Budget())
             act_n = ctx_n.action
             L_n = ineffective_kernel(ctx_n.S, act_n)
-            refl_n = pseudo_reflection_group(ctx_n.S, act_n, ctx_n.ht1_facets(), L_n)
+            refl_n = pseudo_reflection_group(act_n, ctx_n.ht1_facets(), L_n)
             assert refl_n == N.join(refl)
 
 

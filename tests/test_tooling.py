@@ -1,7 +1,8 @@
 """Source-level guarantees: no state that outlives one analysis, no cap or
-cache outside the analysis's budget, no search in the group layers, no
-invariant check that `python -O` can strip, and no name the engine never
-calls outside the reference routes of `oracles.py`."""
+cache outside the analysis's budget, no parameter a body never reads, no
+search in the group layers, no invariant check that `python -O` can strip,
+and no name the engine never calls outside the reference routes of
+`oracles.py`."""
 
 import ast
 import importlib.util
@@ -81,6 +82,28 @@ def test_budgets_and_bounds_are_required():
                 f"{name}:{node.lineno}:{node.name}({a.arg})"
                 for a in defaulted
                 if a.arg in ("budget", "sweep_bound", "degree_cap", "wide_bound")
+            ]
+    assert found == []
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads makes every caller supply a value nothing
+    # uses; one only passed on shows up here once its callee drops it
+    found = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            found += [
+                f"{name}:{node.lineno}:{getattr(node, 'name', 'lambda')}({a.arg})"
+                for a in params
+                if a.arg not in read and a.arg not in ("self", "cls")
             ]
     assert found == []
 
