@@ -166,8 +166,10 @@ class DivisorContext:
     """Bundles one action with its semigroup pair, ineffective kernel,
     classification, and class groups.  It holds no memo table: every
     solver call runs under `budget`, shared with the analysis that made
-    the context, and the fiber points the per-character computations start
-    from are memoized there."""
+    the context.  The class maps and the freeness test start from the
+    weight-chi point their caller passes (the sweeps build theirs by
+    addition); without one they search it through `fiber_element`, whose
+    points are memoized in the budget."""
 
     def __init__(self, action: WeightedAction, budget: Budget):
         self.action = action
@@ -196,10 +198,12 @@ class DivisorContext:
 
     # -- the minimal effective divisor of a character ----------------------
 
-    def char_divisor(self, chi: Vec) -> DivisorVector:
+    def char_divisor(self, chi: Vec, a: Vec | None = None) -> DivisorVector:
         """Minimal effective divisor of the character: the common divisor of
-        all weight-chi monomials with every full-fiber multiple stripped."""
-        a = self.fiber_element(chi)
+        all weight-chi monomials with every full-fiber multiple stripped.
+        It reads the weight-chi point `a`, searched when not given."""
+        if a is None:
+            a = self.fiber_element(chi)
         D = self._char_divisor_from(a)
         b = self.second_fiber_element(a)
         if b is not None and self._char_divisor_from(b) != D:
@@ -249,10 +253,12 @@ class DivisorContext:
                 coeffs.append(0)
         return DivisorVector("RG", tuple(coeffs))
 
-    def module_divisor(self, chi: Vec) -> DivisorVector:
+    def module_divisor(self, chi: Vec, a: Vec | None = None) -> DivisorVector:
         """Divisor on K[S_G] of the module of weight-chi elements, via the
-        contraction of (1/f) K[S] for a weight-chi monomial f."""
-        a = self.fiber_element(chi)
+        contraction of (1/f) K[S] for the weight-chi monomial f = x^a,
+        searched when not given.  Its class does not depend on f."""
+        if a is None:
+            a = self.fiber_element(chi)
         D = self.contraction_divisor(tuple(-v for v in self.S.valuation_vector(a)))
         b = self.second_fiber_element(a)
         if b is not None:
@@ -271,14 +277,17 @@ class DivisorContext:
 
     # -- freeness ----------------------------------------------------------
 
-    def free_test(self, chi: Vec) -> tuple[bool, Vec | None]:
+    def free_test(self, chi: Vec, a: Vec | None = None) -> tuple[bool, Vec | None]:
         """Rank-one freeness of the weight-chi module over the invariants.
 
         Two independent routes must agree: an exact-match monomial whose
         valuations equal the character divisor away from deep facets, and a
         witness satisfying the strict fiberwise bound v_P(f) < e(P, q).
+        Both start from the weight-chi point `a`, searched when not given.
         """
-        D = self.char_divisor(chi)
+        if a is None:
+            a = self.fiber_element(chi)
+        D = self.char_divisor(chi, a)
         exact = {}
         for P in self.S.facets:
             if self.cls.facets[P.index].tier in (HT0, HT1):
@@ -287,7 +296,7 @@ class DivisorContext:
         # any witness of the strict fiberwise bounds has valuations pinned to
         # the character divisor, so its degree is controlled; the second
         # route searches only up to that bound
-        limit = 2 * (sum(exact.values()) + sum(self.fiber_element(chi))) + 16
+        limit = 2 * (sum(exact.values()) + sum(a)) + 16
         w2 = self._strict_bound_witness(chi, limit)
         if (w1 is None) != (w2 is None):
             raise InvariantViolationError("freeness routes disagree")

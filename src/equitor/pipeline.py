@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import add
 
 from .divisors import DivisorContext
 from .errors import InputError, InvariantViolationError
@@ -113,6 +114,26 @@ def t_factorization(t: int, reflection_order: int) -> tuple[int, int]:
             t //= p
             refl *= p
     return t, refl
+
+
+def weight_sweep_points(ctx: DivisorContext, bound: int) -> dict[Vec, Vec]:
+    """Each sum of at most `bound` nonzero Hilbert-basis weights, mapped to a
+    fiber point: the sum of those Hilbert-basis elements, so no character of
+    the sweep is searched.  A character keeps the point of its fewest terms."""
+    act = ctx.action
+    weights: dict[Vec, Vec] = {}  # nonzero weight -> its first Hilbert-basis element
+    for h in ctx.S.hilbert_basis:
+        weights.setdefault(act.weight_of(h), h)
+    weights.pop(act.zero_char, None)
+    points = frontier = {act.zero_char: (0,) * act.ambient_dim}
+    for _ in range(bound):
+        frontier = {
+            act.char_add(c, w): tuple(map(add, a, h))
+            for c, a in frontier.items()
+            for w, h in weights.items()
+        }
+        points = frontier | points
+    return points
 
 
 class Analysis:
@@ -286,15 +307,10 @@ class Analysis:
         if not ctx.cls.no_blowing_up:
             return CofreeDecision(False, 0, None, 0)
         act = ctx.action
-        weights = {act.weight_of(h) for h in ctx.S.hilbert_basis} - {act.zero_char}
-        chars = {act.zero_char}
-        frontier = {act.zero_char}
-        for _ in range(self.options.sweep_bound):
-            frontier = {act.char_add(c, w) for c in frontier for w in weights}
-            chars |= frontier
+        points = weight_sweep_points(ctx, self.options.sweep_bound)
         checked = 0
-        for chi in sorted(chars):
-            free, _wit = ctx.free_test(chi)
+        for chi, a in sorted(points.items()):
+            free, _wit = ctx.free_test(chi, a)
             verdict = bounded_freeness_oracle(ctx.S_G, act, chi, self.options.degree_cap)
             if verdict != INCONCLUSIVE:
                 checked += 1
@@ -311,8 +327,8 @@ class Analysis:
                             f"no freeness violator exists at character {chi}"
                         )
             if not free:
-                return CofreeDecision(False, len(chars), chi, checked)
-        return CofreeDecision(True, len(chars), None, checked)
+                return CofreeDecision(False, len(points), chi, checked)
+        return CofreeDecision(True, len(points), None, checked)
 
     @cached_property
     def cofree_decision(self) -> CofreeDecision:

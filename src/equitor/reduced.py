@@ -19,7 +19,10 @@ already contains the envelope allowed by the additivity defect (spanned by
 the full-fiber columns of the invariant facets where the fiberwise minimum
 is not linear), or when the basis is empty.  The same sweep records the
 first nonzero character whose divisor or module class has infinite order,
-the witness behind an infinite exponent.
+the witness behind an infinite exponent.  Both class maps read any point of
+a character's fiber, and points add with their characters, so the sweep
+searches only the fibers of the signed basis characters +-b_i and gives
+sum(n_i * b_i) the sum of |n_i| points of sign(n_i) * b_i.
 """
 
 from __future__ import annotations
@@ -80,17 +83,42 @@ def qualified_lattice(
     return QualifiedLattice(SubgroupOfA.generated_by(act, gens), closed)
 
 
-def sweep_chars(action, basis: list[Vec], bound: int) -> list[Vec]:
-    """All reduced characters sum(n_i * b_i) with |n_i| <= bound, deduplicated."""
-    if not basis:
-        return [action.zero_char]
-    seen = set()
+def sweep_combinations(action, basis: list[Vec], bound: int) -> dict[Vec, tuple[int, ...]]:
+    """Each reduced character sum(n_i * b_i) with |n_i| <= bound, mapped to
+    the first combination (n_i) in product order that reaches it."""
+    out: dict[Vec, tuple[int, ...]] = {}
     for combo in itertools.product(range(-bound, bound + 1), repeat=len(basis)):
         chi = action.zero_char
         for n, b in zip(combo, basis):
             chi = action.char_add(chi, action.char_scale(n, b))
-        seen.add(chi)
-    return sorted(seen)
+        out.setdefault(chi, combo)
+    return out
+
+
+def sweep_chars(action, basis: list[Vec], bound: int) -> list[Vec]:
+    """All reduced characters sum(n_i * b_i) with |n_i| <= bound, deduplicated."""
+    return sorted(sweep_combinations(action, basis, bound))
+
+
+def sweep_points(ctx: DivisorContext, basis: list[Vec], bound: int) -> dict[Vec, Vec]:
+    """Each character of the bound sweep over the basis, mapped to a fiber
+    point built by addition.
+
+    Weights add under multiplication of monomials, so the character first
+    reached by the combination (n_i) has the fiber point
+    sum(|n_i| * a_i^sign(n_i)), where a_i^+ and a_i^- are points of b_i and
+    -b_i.  Only those 2 * len(basis) fibers are searched; both signs are
+    realized because the basis lies in the unit weights.
+    """
+    act = ctx.action
+    signed = [(ctx.fiber_element(b), ctx.fiber_element(act.char_scale(-1, b))) for b in basis]
+    out = {}
+    for chi, combo in sweep_combinations(act, basis, bound).items():
+        a = (0,) * act.ambient_dim
+        for n, (plus, minus) in zip(combo, signed):
+            a = tuple(x + abs(n) * y for x, y in zip(a, plus if n > 0 else minus))
+        out[chi] = a
+    return out
 
 
 @dataclass(frozen=True)
@@ -113,17 +141,17 @@ def reduced_class_groups(
     """Sweep the qualified lattice and assemble both reduced class groups."""
     act = ctx.action
     basis = qualified.basis_chars()
-    chars = sweep_chars(act, basis, sweep_bound)
+    swept = sweep_points(ctx, basis, sweep_bound)
     div_cols: dict[Vec, Vec] = {}  # swept character -> its divisor's coefficients
     mod_cols: list[Vec] = []
     div_orders: list[int | None] = []
     mod_orders: list[int | None] = []
     infinite = None
-    for chi in chars:
+    for chi, a in sorted(swept.items()):
         if chi == act.zero_char:
             continue
-        D = ctx.char_divisor(chi)
-        M = ctx.module_divisor(chi)
+        D = ctx.char_divisor(chi, a)
+        M = ctx.module_divisor(chi, a)
         d_ord = ctx.cl_R.order_of(D)
         m_ord = ctx.cl_RG.order_of(M)
         # the orders coincide exactly when the module class is torsion; a
@@ -146,8 +174,8 @@ def reduced_class_groups(
     if div_exp is not None and mod_exp is not None and div_exp != mod_exp:
         raise InvariantViolationError("finite exponents of the two sides disagree")
 
-    def divisor_coeffs(chi: Vec) -> Vec:
-        return div_cols[chi] if chi in div_cols else ctx.char_divisor(chi).coeffs
+    def divisor_coeffs(chi: Vec, a: Vec | None = None) -> Vec:
+        return div_cols[chi] if chi in div_cols else ctx.char_divisor(chi, a).coeffs
 
     # with no basis the generated group is {0}, which the sweep holds
     exact = not basis or _envelope_certificate(
@@ -156,8 +184,10 @@ def reduced_class_groups(
 
     stable = True
     if not exact:
-        wide = sweep_chars(act, basis, sweep_bound + 1)
-        wide_cols = [divisor_coeffs(chi) for chi in wide if chi != act.zero_char]
+        wide = sweep_points(ctx, basis, sweep_bound + 1)
+        wide_cols = [
+            divisor_coeffs(chi, a) for chi, a in sorted(wide.items()) if chi != act.zero_char
+        ]
         stable = quotient_structure(wide_cols, ctx.cl_R.presentation) == div_factors
 
     return ReducedClassData(

@@ -14,7 +14,10 @@ integer solution.  A nonnegative x0 is the answer.  Otherwise the kernel is
 put in Hermite form and `coset_orthant_search` walks the coset in the
 orthant; it decides exactly when that region is empty or bounded, rank one
 included.  Only an unbounded region falls back to the completion solver on
-the homogenized system.
+the homogenized system.  The character sweeps run no query per character:
+a product of monomials has the sum of their weights, so a swept character
+gets the sum of points already found (of the signed qualified-basis
+characters, or of Hilbert-basis elements).
 
 The solver's search is breadth-first by 1-norm over nodes x >= 0 with
 residual v = A x, stepping along e_j when v . c_j < 0 (c_j the columns of
@@ -60,7 +63,9 @@ class Budget:
     takes the budget as a required argument.  Its tables of semigroups and
     fiber points are the only memo tables in the engine: they live and die
     with the budget, so no result depends on what an earlier analysis
-    computed or under which caps.  The bounded walk of one fiber
+    computed or under which caps.  The fiber table holds searched points
+    only; the character sweeps add those up instead of searching each swept
+    character.  The bounded walk of one fiber
     (`enumerate_fiber`) and the freeness oracle built on it run no capped
     search and keep no table, so they read no budget.
 

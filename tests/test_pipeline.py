@@ -277,15 +277,20 @@ def test_corpus_smoke():
 
 @pytest.mark.parametrize("cap", [32, 48])
 def test_solver_norm_cap_is_applied_as_stated(cap):
-    # corpus pool #201 with a bound-3 sweep caps in a fiber search's
-    # completion fallback at every depth from 24 to 48 (and decides at 56):
-    # every fiber search must run under the stated cap.  At the default
-    # bound 2 its group is certified, and only depths up to 32 cap.
+    # corpus pool #201's character (-18, 4) = -3 (6, 0) + (0, 4), in the
+    # bound-3 sweep over its qualified basis: its fiber search falls back to
+    # the completion solver, which caps at every depth from 20 to 48 and
+    # finds a point at 56.  The analysis's own fiber search must run under
+    # the stated cap.  The search is called directly because the sweeps sum
+    # the points of the signed basis characters and never search this fiber.
     weights = ((0, 2), (3, 2), (0, -2), (-1, -2), (0, 2))
     act = WeightedAction(5, 2, (), weights, (((3, 1, -1, 2, 1), 2),))
+    an = Analysis(act, Options(solver_norm_cap=cap))
     with pytest.raises(CappedComputationError) as err:
-        Analysis(act, Options(solver_norm_cap=cap, sweep_bound=3)).verdict
-    assert err.value.cap == cap
+        an.ctx.fiber_element((-18, 4))
+    assert (err.value.what, err.value.cap) == ("completion solver (degree)", cap)
+    deeper = Analysis(act, Options(solver_norm_cap=56))
+    assert deeper.ctx.fiber_element((-18, 4)) == (20, 0, 0, 18, 0)
 
 
 def test_orthant_378_decides():

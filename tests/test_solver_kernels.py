@@ -120,8 +120,8 @@ def _fixture_analysis(name, **changes):
 @pytest.mark.parametrize(
     "name, nodes, norm_reached",
     [
-        ("example_5_7", 16876, 28),
-        ("example_5_8", 862, 18),
+        ("example_5_7", 2621, 28),
+        ("example_5_8", 238, 18),
         ("polynomial_ring", 0, 0),
         ("scaling_torus", 0, 1),
     ],
@@ -150,11 +150,11 @@ def test_unit_weights_run_no_search(name):
 
 
 def test_candidate_cap_boundary_on_5_8():
-    # the largest completion-solver call of the 5.8 analysis makes 166 candidates
-    analyze_report(_fixture_analysis("example_5_8", max_candidates=166))
+    # the largest completion-solver call of the 5.8 analysis makes 92 candidates
+    analyze_report(_fixture_analysis("example_5_8", max_candidates=92))
     with pytest.raises(CappedComputationError) as err:
-        analyze_report(_fixture_analysis("example_5_8", max_candidates=165))
-    assert (err.value.what, err.value.cap) == ("completion solver (candidates)", 165)
+        analyze_report(_fixture_analysis("example_5_8", max_candidates=91))
+    assert (err.value.what, err.value.cap) == ("completion solver (candidates)", 91)
 
 
 CORPUS_42 = """
