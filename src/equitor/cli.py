@@ -38,21 +38,21 @@ def nonnegative(value: int, where: str) -> int:
     return value
 
 
-def parse_input(doc, where: str = "$") -> tuple[WeightedAction, Options]:
+def parse_input(doc) -> tuple[WeightedAction, Options]:
     """Validate one input document; raises InputError with a pointer."""
     if not isinstance(doc, dict):
-        raise InputError(f"{where}: expected an object")
+        raise InputError("$: expected an object")
 
     def need(key, typ, default=None, required=False):
         if key not in doc:
             if required:
-                raise InputError(f"{where}.{key}: missing")
+                raise InputError(f"$.{key}: missing")
             return default
         val = doc[key]
         if typ is int:
-            integer(val, f"{where}.{key}")
+            integer(val, f"$.{key}")
         if typ is list and not isinstance(val, list):
-            raise InputError(f"{where}.{key}: expected a list")
+            raise InputError(f"$.{key}: expected a list")
         return val
 
     n = need("ambient_dim", int, required=True)
@@ -61,21 +61,21 @@ def parse_input(doc, where: str = "$") -> tuple[WeightedAction, Options]:
     weights = need("weights", list, required=True)
     congs = need("quotient_congruences", list, default=[])
     if n < 0 or rank < 0:
-        raise InputError(f"{where}: dimensions must be nonnegative")
+        raise InputError("$: dimensions must be nonnegative")
     for i, m in enumerate(moduli):
-        if integer(m, f"{where}.torsion_moduli[{i}]") < 2:
-            raise InputError(f"{where}.torsion_moduli[{i}]: expected an integer >= 2")
+        if integer(m, f"$.torsion_moduli[{i}]") < 2:
+            raise InputError(f"$.torsion_moduli[{i}]: expected an integer >= 2")
     k = rank + len(moduli)
     if len(weights) != n:
-        raise InputError(f"{where}.weights: expected {n} entries (one per variable)")
+        raise InputError(f"$.weights: expected {n} entries (one per variable)")
     wvecs = []
     for i, w in enumerate(weights):
         if not isinstance(w, list) or len(w) != k:
-            raise InputError(f"{where}.weights[{i}]: expected a list of {k} integers")
-        wvecs.append(tuple(integer(x, f"{where}.weights[{i}][{j}]") for j, x in enumerate(w)))
+            raise InputError(f"$.weights[{i}]: expected a list of {k} integers")
+        wvecs.append(tuple(integer(x, f"$.weights[{i}][{j}]") for j, x in enumerate(w)))
     cvecs = []
     for i, c in enumerate(congs):
-        at = f"{where}.quotient_congruences[{i}]"
+        at = f"$.quotient_congruences[{i}]"
         if not isinstance(c, dict) or "coeffs" not in c or "modulus" not in c:
             raise InputError(f"{at}: expected an object with coeffs and modulus")
         coeffs = c["coeffs"]
@@ -85,11 +85,11 @@ def parse_input(doc, where: str = "$") -> tuple[WeightedAction, Options]:
         cvecs.append((coeffs, nonnegative(integer(c["modulus"], f"{at}.modulus"), f"{at}.modulus")))
     opts = doc.get("options", {})
     if not isinstance(opts, dict):
-        raise InputError(f"{where}.options: expected an object")
+        raise InputError("$.options: expected an object")
     values = {}
     for f in dataclasses.fields(Options):
         if f.name in opts:
-            at = f"{where}.options.{f.name}"
+            at = f"$.options.{f.name}"
             values[f.name] = nonnegative(integer(opts[f.name], at), at)
     options = Options(**values)
     try:
@@ -101,7 +101,7 @@ def parse_input(doc, where: str = "$") -> tuple[WeightedAction, Options]:
             congruences=tuple(cvecs),
         )
     except InputError as e:
-        raise InputError(f"{where}: {e}") from e
+        raise InputError(f"$: {e}") from e
     return action, options
 
 

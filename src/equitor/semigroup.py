@@ -418,26 +418,25 @@ def fiber_sample(
     *,
     equal: dict[int, int] | None = None,
     upper: dict[int, int] | None = None,
-    degree_limit: int | None = None,
     budget: Budget,
 ) -> Vec | None:
     """Some weight-chi element a of the semigroup, or None (exact).
 
     `equal` fixes a[coord] = value and `upper` bounds a[coord] <= bound at
-    the given coordinates; `degree_limit` bounds the total degree.  Each
-    upper bound becomes an equation with one slack variable; the slack block
-    is appended after the real variables and projected away.
+    the given coordinates.  Each upper bound becomes an equation with one
+    slack variable; the slack block is appended after the real variables
+    and projected away.
     """
     chi = action.reduce_char(chi)
     equal_items = tuple(sorted((equal or {}).items()))
     upper_items = tuple(sorted((upper or {}).items()))
-    key = (action, chi, equal_items, upper_items, degree_limit)
+    key = (action, chi, equal_items, upper_items)
     if key in budget.fibers:
         return budget.fibers[key]
     got = None
     if all(bound >= 0 for _, bound in upper_items):
         n = action.ambient_dim
-        s = len(upper_items) + (degree_limit is not None)
+        s = len(upper_items)
         congs = [
             (tuple(coeffs) + (0,) * s, m)
             for coeffs, m in (*action.congruences, *action.weight_rows())
@@ -445,8 +444,6 @@ def fiber_sample(
         rhs = [0] * len(action.congruences) + list(chi)
         bounded = [((coord,), val) for coord, val in equal_items]
         bounded += [((coord, n + k), bound) for k, (coord, bound) in enumerate(upper_items)]
-        if degree_limit is not None:
-            bounded.append((tuple(range(n)) + (n + s - 1,), degree_limit))
         for support, value in bounded:
             rhs.append(value)
             congs.append((tuple(int(j in support) for j in range(n + s)), 0))

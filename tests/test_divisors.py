@@ -53,15 +53,29 @@ def test_classify_5_7(fx57):
     assert ctx.cls.no_blowing_up
 
 
-def test_classify_deep_contraction():
-    # K^3 with weights (1,-1,1): the middle facet contracts to height two
-    action = WeightedAction(
+def deep_contraction_action():
+    """K^3 with weights (1,-1,1): the middle facet contracts to height two."""
+    return WeightedAction(
         ambient_dim=3, free_rank=1, torsion_moduli=(), weights=((1,), (-1,), (1,))
     )
-    ctx = ctx_of(action)
+
+
+def test_classify_deep_contraction():
+    ctx = ctx_of(deep_contraction_action())
     tiers = {ctx.S.facets[i].coord: f.tier for i, f in enumerate(ctx.cls.facets)}
     assert tiers == {0: HT1, 1: HT2PLUS, 2: HT1}
     assert not ctx.cls.no_blowing_up
+
+
+def test_free_test_under_a_blow_up_checks_the_class_one_way():
+    # R^G = K[xy, yz] has Cl = 0, so every module class is principal
+    ctx = ctx_of(deep_contraction_action())
+    assert ctx.cl_RG.invariant_factors == ()
+    # M_1 = (x, z) R^G: principal class, yet not free, and no raise
+    assert ctx.cl_RG.is_principal(ctx.module_divisor((1,)))
+    assert ctx.free_test((1,)) == (False, None)
+    # M_-1 = y R^G
+    assert ctx.free_test((-1,)) == (True, (0, 1, 0))
 
 
 def test_ramification_index_two():

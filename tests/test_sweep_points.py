@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from equitor.cli import parse_input
 from equitor.errors import CappedComputationError
+from equitor.oracles import NO, bounded_freeness_oracle
 from equitor.pipeline import Analysis, Options, weight_sweep_points
 from equitor.reduced import sweep_points
 from equitor.semigroup import WeightedAction
@@ -103,9 +104,9 @@ def test_summed_points_match_the_searched_points_on_random_actions(action):
         assume(False)
 
 
-# plain queries (no `equal`, `upper` or `degree_limit`) the analysis makes
-# outside the sweeps: scaling_torus's stabilized action has no facet, so the
-# exact-match route of `free_test` at the zero character pins nothing
+# plain queries (no `equal` or `upper`) the analysis makes outside the
+# sweeps: scaling_torus's stabilized action has no facet, so the exact-match
+# search of `free_test` at the zero character pins nothing
 OUTSIDE_THE_SWEEPS = {"scaling_torus": {(0,)}}
 
 
@@ -114,6 +115,30 @@ def test_the_sweeps_search_only_the_signed_basis_characters(fixture):
     an = _fixture_analysis(fixture)
     an.verdict
     act = an.action
-    plain = {key[1] for key in an.budget.fibers if key[2:] == ((), (), None)}
+    plain = {key[1] for key in an.budget.fibers if key[2:] == ((), ())}
     signed = {act.char_scale(s, b) for b in an.qualified.basis_chars() for s in (1, -1)}
     assert plain == signed | OUTSIDE_THE_SWEEPS.get(fixture.stem, set())
+    # freeness is decided by one exact-match search per character: no
+    # upper-bounded search runs on the verdict path
+    assert not [key for key in an.budget.fibers if key[3]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_actions())
+@example(WeightedAction(3, 1, (), ((1,), (-1,), (1,))))
+def test_free_test_matches_the_violator_search_and_the_module_class(action):
+    """On every swept character, with or without a blow-up: the verdict of
+    `free_test` is the violator search's, a slice violation means not free,
+    and a free module has a principal class."""
+    try:
+        an = Analysis(action, Options(solver_norm_cap=32, max_candidates=20000))
+        ctx = an.ctx
+        for chi, a in sorted(weight_sweep_points(ctx, 2).items()):
+            free, _wit = ctx.free_test(chi, a)
+            assert free == (ctx.not_free_violator(chi) is None), chi
+            if bounded_freeness_oracle(ctx.S_G, ctx.action, chi, an.options.degree_cap) == NO:
+                assert not free, chi
+            if free:
+                assert ctx.cl_RG.is_principal(ctx.module_divisor(chi, a)), chi
+    except CappedComputationError:
+        assume(False)
