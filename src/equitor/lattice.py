@@ -10,6 +10,7 @@ representations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, lcm
 from typing import TYPE_CHECKING
 
@@ -160,47 +161,41 @@ def column_hnf(cols: list[Vec], ambient: int) -> tuple[Vec, ...]:
     Returns independent columns; pivots positive, entries to the right of a
     pivot row reduced into [0, pivot).  Equal lattices give equal outputs.
     """
-    work = [list(c) for c in cols if any(c)]
-    basis: list[list[int]] = []  # maintained in column echelon, pivot rows increasing
-    pivots: list[int] = []
+    echelon: dict[int, list[int]] = {}  # pivot row -> column vanishing above it
 
-    def reduce_in(v: list[int]):
-        # driven by the current leading row of v so the echelon shape survives
-        while any(v):
-            p = next(r for r in range(ambient) if v[r])
-            if p not in pivots:
-                if v[p] < 0:
-                    v = [-x for x in v]
-                idx = 0
-                while idx < len(pivots) and pivots[idx] < p:
-                    idx += 1
-                basis.insert(idx, v)
-                pivots.insert(idx, p)
-                return
-            k = pivots.index(p)
-            a, b = basis[k][p], v[p]
+    for v in cols:
+        # driven by the leading row of v so the echelon shape survives; a
+        # cleared row stays clear, so the scan resumes below it
+        p = 0
+        while True:
+            while p < ambient and not v[p]:
+                p += 1
+            if p == ambient:
+                break
+            col = echelon.get(p)
+            if col is None:
+                echelon[p] = list(v) if v[p] > 0 else [-x for x in v]
+                break
+            a, b = col[p], v[p]
             if b % a == 0:
                 q = b // a
-                v = [x - q * y for x, y in zip(v, basis[k])]
+                v = [x - q * y for x, y in zip(v, col)]
             else:
                 g, x, y = _xgcd(a, b)
                 a_g, b_g = a // g, b // g
-                old = basis[k]
-                basis[k] = [x * o + y * w for o, w in zip(old, v)]
-                v = [-b_g * o + a_g * w for o, w in zip(old, v)]
-
-    for c in work:
-        reduce_in(c)
+                echelon[p] = [x * o + y * w for o, w in zip(col, v)]
+                v = [-b_g * o + a_g * w for o, w in zip(col, v)]
+            p += 1
+    pivots = sorted(echelon)
+    basis = [echelon[p] for p in pivots]
     # full reduction: entries in pivot rows of later columns into [0, pivot);
     # ascending pivot order so later steps touch only deeper rows
-    for k in range(len(basis)):
-        p = pivots[k]
+    for k, p in enumerate(pivots):
         for m in range(k):
-            if basis[m][p] != 0:
-                q = basis[m][p] // basis[k][p]
-                for r in range(ambient):
-                    basis[m][r] -= q * basis[k][r]
-    return tuple(tuple(b) for b in basis)
+            q = basis[m][p] // basis[k][p]
+            if q:
+                basis[m] = [x - q * y for x, y in zip(basis[m], basis[k])]
+    return tuple(map(tuple, basis))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -241,6 +236,11 @@ class Sublattice:
     def rank(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot (leading nonzero) row of each basis column."""
+        return tuple(next(r for r, x in enumerate(col) if x) for col in self.basis)
+
     def basis_matrix(self) -> IntMatrix:
         return IntMatrix.from_cols(list(self.basis), self.ambient)
 
@@ -253,14 +253,14 @@ class Sublattice:
             raise InputError("vector length does not match ambient rank")
         v = list(v)
         coeffs = []
-        for col in self.basis:
-            p = next(r for r in range(self.ambient) if col[r])
-            if v[p] % col[p] != 0:
+        for col, p in zip(self.basis, self.pivots):
+            q, rem = divmod(v[p], col[p])
+            if rem:
                 return None
-            q = v[p] // col[p]
             coeffs.append(q)
-            for r in range(p, self.ambient):
-                v[r] -= q * col[r]
+            if q:
+                for r in range(p, self.ambient):
+                    v[r] -= q * col[r]
         return None if any(v) else tuple(coeffs)
 
     def contains(self, v: Vec) -> bool:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from operator import add, ge, mul
+from operator import add, ge, itemgetter, mul
 
 from .errors import CappedComputationError, InputError, InvariantViolationError
 from .lattice import (
@@ -457,47 +457,79 @@ def enumerate_fiber(action: WeightedAction, chi: Vec, degree_cap: int) -> list[V
     """All weight-chi semigroup elements of total degree <= degree_cap, graded-lex.
 
     A depth-first walk over the variables that enters only the weight-chi
-    fiber.  The exact rows (the free weight coordinates with target chi,
-    the modulus-0 congruences with target 0) prune every prefix: with r
-    degrees left, the rest of the vector adds to a row between r times the
-    least and r times the greatest of its remaining coefficients and 0.
-    The variables that some exact row reads are walked first, so the others
-    cost only their share of the output, and a last variable that an exact
-    row reads is solved from that row.  The modular rows (torsion
-    coordinates, congruences of modulus m > 0) are checked at the leaves.
+    fiber.  Its rows are the weight coordinates (target chi) and the
+    congruences (target 0); a row of modulus m > 0 is read mod m.  A
+    repeated row is dropped; a row with no coefficient and a nonzero
+    target, or two equal rows with different targets, make the fiber empty.
+
+    The exact rows (modulus 0) bound every level.  With residual s and r
+    degrees left, the later variables add between r lo and r hi to a row,
+    lo and hi the least and greatest of its later coefficients and 0.  So a
+    value v with coefficient c keeps the row reachable iff
+    v (c - lo) <= s - r lo and v (hi - c) <= r hi - s, and each level
+    iterates only the interval of values that every exact row allows.  A
+    zero slope gives a condition free of v that the parent's interval
+    already met; at the root it is left to the deeper levels, as each row is
+    met exactly at its last nonzero coefficient.  The last level is solved
+    by its interval, one value when an exact row reads it.  The variables
+    that some exact row reads are walked first, so the others cost only
+    their share of the output.  The modular rows are checked at the leaves.
     """
     if degree_cap < 0:
         raise InputError("degree cap must be >= 0")
     n = action.ambient_dim
     targets = action.reduce_char(chi) + (0,) * len(action.congruences)
-    rows = [(*row, t) for row, t in zip(action.weight_rows() + list(action.congruences), targets)]
-    exact = [(c, t) for c, m, t in rows if not m]
-    modular = [(c, m, t) for c, m, t in rows if m]
+    rows: dict[tuple[Vec, int], int] = {}  # (coefficients, modulus) -> target
+    for (c, m), t in zip(action.weight_rows() + list(action.congruences), targets):
+        if m:
+            c, t = tuple(x % m for x in c), t % m
+        if not any(c):
+            if t:
+                return []
+        elif rows.setdefault((c, m), t) != t:
+            return []
+    if not n:
+        return [()]
+    exact = [(c, t) for (c, m), t in rows.items() if not m]
     order = sorted(range(n), key=lambda j: not any(c[j] for c, _ in exact))
+    position = [0] * n  # the walk level of each variable
+    for p, j in enumerate(order):
+        position[j] = p
+    emit = itemgetter(*position) if n > 1 else tuple  # walk order -> input order
+    modular = [(tuple(c[j] for j in order), m, t) for (c, m), t in rows.items() if m]
     coeffs = [tuple(c[j] for j in order) for c, _ in exact]  # in walk order
-    spans = [[(min(c[p:] + (0,)), max(c[p:] + (0,))) for c in coeffs] for p in range(n + 1)]
-    pivot = next((e for e, c in enumerate(coeffs) if c[-1]), None) if n else None
+    columns = [tuple(c[p] for c in coeffs) for p in range(n)]
+    bounds = []  # per level: (row, a, sign, tau) for v * a <= sign * s + tau * r, a != 0
+    for p, column in enumerate(columns):
+        spans = [(min(c[p + 1:] + (0,)), max(c[p + 1:] + (0,))) for c in coeffs]
+        bounds.append([
+            (e, a, sign, tau)
+            for e, (c, (lo, hi)) in enumerate(zip(column, spans))
+            for a, sign, tau in ((c - lo, 1, -lo), (hi - c, -1, hi))
+            if a
+        ])
     out: list[Vec] = []
     x = [0] * n  # the walk's vector, in walk order
 
     def walk(p: int, residual: tuple[int, ...], r: int):
-        if any(not r * lo <= v <= r * hi for v, (lo, hi) in zip(residual, spans[p])):
+        first, last = 0, r
+        for e, a, sign, tau in bounds[p]:
+            b = sign * residual[e] + tau * r
+            if a > 0:
+                if b < a * last:
+                    last = b // a
+            elif b < a * first:
+                first = -(b // -a)
+        if p == n - 1:
+            for v in range(first, last + 1):
+                x[p] = v
+                if all((_dot(c, x) - t) % m == 0 for c, m, t in modular):
+                    out.append(emit(x))
             return
-        if p == n:
-            a = [0] * n
-            for j, v in zip(order, x):
-                a[j] = v
-            if all((_dot(c, a) - t) % m == 0 for c, m, t in modular):
-                out.append(tuple(a))
-            return
-        values = range(r + 1)
-        if p == n - 1 and pivot is not None:
-            v, rem = divmod(residual[pivot], coeffs[pivot][p])
-            values = [v] if rem == 0 and 0 <= v <= r else []
-        for v in values:
+        column = columns[p]
+        for v in range(first, last + 1):
             x[p] = v
-            walk(p + 1, tuple(s - v * c[p] for s, c in zip(residual, coeffs)), r - v)
-        x[p] = 0
+            walk(p + 1, tuple([s - v * c for s, c in zip(residual, column)]), r - v)
 
     walk(0, tuple(t for _, t in exact), degree_cap)
     return sorted(out, key=lambda v: (sum(v), v))

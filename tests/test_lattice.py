@@ -303,6 +303,12 @@ def test_sublattice_coordinates_round_trip():
         n = rng.randint(1, 4)
         gens = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(0, 3))]
         L = Sublattice.from_columns(gens, n)
+        # the cached pivots are the leading rows: positive, zeros above, increasing
+        assert len(L.pivots) == L.rank and list(L.pivots) == sorted(set(L.pivots))
+        assert all(col[p] > 0 and not any(col[:p]) for col, p in zip(L.basis, L.pivots))
+        # reading them leaves equality and hashing to the basis (a dict key)
+        fresh = Sublattice.from_columns(gens, n)
+        assert L == fresh and hash(L) == hash(fresh) and {fresh: 1}[L] == 1
         coeffs = tuple(rng.randint(-5, 5) for _ in range(L.rank))
         v = tuple(sum(c * col[i] for c, col in zip(coeffs, L.basis)) for i in range(n))
         assert L.coordinates(v) == coeffs

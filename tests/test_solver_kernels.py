@@ -81,7 +81,7 @@ def _naive_slices(action, cap):
 
 @st.composite
 def actions(draw):
-    n = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 5))
     free_rank = draw(st.integers(0, 2))
     torsion = tuple(draw(st.lists(st.integers(2, 4), max_size=1)))
     k = free_rank + len(torsion)
@@ -100,6 +100,12 @@ def actions(draw):
 @example(WeightedAction(2, 1, (2,), ((-3, 1), (3, 1)), (((1, 2), 2),)), 0)
 @example(WeightedAction(0, 1, (), ()), 3)
 @example(WeightedAction(1, 1, (3,), ((-2, 2),)), 6)
+# a modular row repeated, as a quotient action appends a row already present
+@example(WeightedAction(2, 1, (), ((1,), (-1,)), (((1, 1), 2), ((1, 1), 2))), 5)
+# an exact congruence equal to the weight row: empty unless chi's coordinate is 0
+@example(WeightedAction(2, 1, (), ((1,), (-1,)), (((1, -1), 0),)), 4)
+@example(WeightedAction(2, 1, (), ((1,), (2,)), (((0, 0), 0),)), 5)  # an all-zero row
+@example(WeightedAction(5, 1, (2,), ((1, 0), (-1, 1), (2, 1), (0, 1), (-2, 0)), (((1, 1, 0, 0, 1), 3),)), 6)
 def test_weight_slices_match_enumeration(action, cap):
     naive = _naive_slices(action, cap)
     for chi, group in naive.items():
