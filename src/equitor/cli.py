@@ -211,14 +211,15 @@ def run(command: str, doc, flags) -> dict:
         report.update({"of": which, "invariant_factors": list(cl.invariant_factors)})
     elif command == "dchi":
         chi = parse_char(flags.chi, action.char_length)
-        D = an.ctx.char_divisor(chi)
+        a = an.ctx.fiber_element(chi)
+        D = an.ctx.char_divisor(chi, a)
         report.update(
             {
                 "chi": list(chi),
                 "coefficients": list(D.coeffs),
                 "class": list(an.ctx.cl_R.class_of(D)),
-                "order": an.ctx.char_class_order(chi),
-                "module_order": an.ctx.module_class_order(chi),
+                "order": an.ctx.cl_R.order_of(D),
+                "module_order": an.ctx.cl_RG.order_of(an.ctx.module_divisor(chi, a)),
             }
         )
     elif command == "free":

@@ -168,8 +168,9 @@ class DivisorContext:
     solver call runs under `budget`, shared with the analysis that made
     the context.  The class maps and the freeness test start from the
     weight-chi point their caller passes (the sweeps build theirs by
-    addition); without one they search it through `fiber_element`, whose
-    points are memoized in the budget."""
+    addition); without one they search it through `fiber_element`, which
+    keeps no point, so a caller that reads one character more than once
+    searches it once and passes the point on."""
 
     def __init__(self, action: WeightedAction, budget: Budget):
         self.action = action

@@ -254,7 +254,7 @@ def main_theorem_conditions(an: Analysis) -> dict:
         "module_exponent_finite": finite,
         "exponents_equal_finite": finite and red.divisor_exponent == v,
         "exponent_multiples_free": finite
-        and t_consistency_check(an.ctx, an.qualified, v, an.options.sweep_bound),
+        and t_consistency_check(an.ctx, an.qualified, v, an.options.wide_bound),
     }
     delta = perp(an.qualified.group)
     S_delta = build_semigroup(quotient_action(an.action, delta), an.budget)

@@ -20,9 +20,10 @@ the full-fiber columns of the invariant facets where the fiberwise minimum
 is not linear), or when the basis is empty.  The same sweep records the
 first nonzero character whose divisor or module class has infinite order,
 the witness behind an infinite exponent.  Both class maps read any point of
-a character's fiber, and points add with their characters, so the sweep
-searches only the fibers of the signed basis characters +-b_i and gives
-sum(n_i * b_i) the sum of |n_i| points of sign(n_i) * b_i.
+a character's fiber, and points add with their characters, so only the
+signed basis characters +-b_i are searched, once each: both sweeps give
+sum(n_i * b_i) the sum of |n_i| points of sign(n_i) * b_i, and the envelope
+certificate reads the points of +b_i.
 """
 
 from __future__ import annotations
@@ -100,21 +101,18 @@ def sweep_chars(action, basis: list[Vec], bound: int) -> list[Vec]:
     return sorted(sweep_combinations(action, basis, bound))
 
 
-def sweep_points(ctx: DivisorContext, basis: list[Vec], bound: int) -> dict[Vec, Vec]:
+def sweep_points(action, basis: list[Vec], bound: int, signed: list[tuple[Vec, Vec]]) -> dict[Vec, Vec]:
     """Each character of the bound sweep over the basis, mapped to a fiber
-    point built by addition.
+    point built by addition; `signed` holds a point a_i^+ of b_i and a_i^-
+    of -b_i for each basis character, and no fiber is searched.
 
     Weights add under multiplication of monomials, so the character first
     reached by the combination (n_i) has the fiber point
-    sum(|n_i| * a_i^sign(n_i)), where a_i^+ and a_i^- are points of b_i and
-    -b_i.  Only those 2 * len(basis) fibers are searched; both signs are
-    realized because the basis lies in the unit weights.
+    sum(|n_i| * a_i^sign(n_i)).
     """
-    act = ctx.action
-    signed = [(ctx.fiber_element(b), ctx.fiber_element(act.char_scale(-1, b))) for b in basis]
     out = {}
-    for chi, combo in sweep_combinations(act, basis, bound).items():
-        a = (0,) * act.ambient_dim
+    for chi, combo in sweep_combinations(action, basis, bound).items():
+        a = (0,) * action.ambient_dim
         for n, (plus, minus) in zip(combo, signed):
             a = tuple(x + abs(n) * y for x, y in zip(a, plus if n > 0 else minus))
         out[chi] = a
@@ -141,7 +139,12 @@ def reduced_class_groups(
     """Sweep the qualified lattice and assemble both reduced class groups."""
     act = ctx.action
     basis = qualified.basis_chars()
-    swept = sweep_points(ctx, basis, sweep_bound)
+    # each distinct signed basis character is searched once; both signs are
+    # realized because the basis lies in the unit weights
+    negated = [act.char_scale(-1, b) for b in basis]
+    found = {c: ctx.fiber_element(c) for c in dict.fromkeys(itertools.chain(*zip(basis, negated)))}
+    signed = [(found[b], found[c]) for b, c in zip(basis, negated)]
+    swept = sweep_points(act, basis, sweep_bound, signed)
     div_cols: dict[Vec, Vec] = {}  # swept character -> its divisor's coefficients
     mod_cols: list[Vec] = []
     div_orders: list[int | None] = []
@@ -174,17 +177,18 @@ def reduced_class_groups(
     if div_exp is not None and mod_exp is not None and div_exp != mod_exp:
         raise InvariantViolationError("finite exponents of the two sides disagree")
 
-    def divisor_coeffs(chi: Vec, a: Vec | None = None) -> Vec:
+    def divisor_coeffs(chi: Vec, a: Vec) -> Vec:
         return div_cols[chi] if chi in div_cols else ctx.char_divisor(chi, a).coeffs
 
     # with no basis the generated group is {0}, which the sweep holds
+    plus = [a for a, _ in signed]
     exact = not basis or _envelope_certificate(
-        ctx, basis, [divisor_coeffs(chi) for chi in basis], list(div_cols.values())
+        ctx, plus, [divisor_coeffs(b, a) for b, a in zip(basis, plus)], list(div_cols.values())
     )
 
     stable = True
     if not exact:
-        wide = sweep_points(ctx, basis, sweep_bound + 1)
+        wide = sweep_points(act, basis, sweep_bound + 1, signed)
         wide_cols = [
             divisor_coeffs(chi, a) for chi, a in sorted(wide.items()) if chi != act.zero_char
         ]
@@ -212,16 +216,16 @@ def _exponent_from_orders(orders: list[int | None]) -> int | None:
 
 
 def _envelope_certificate(
-    ctx: DivisorContext, basis: list[Vec], basis_cols: list[Vec], div_cols: list[Vec]
+    ctx: DivisorContext, points: list[Vec], basis_cols: list[Vec], div_cols: list[Vec]
 ) -> bool:
     """True when the swept subgroup provably equals the full generated group.
 
     Take chi = sum x_i b_i over the basis, with fiber points a_chi and
-    a_{b_i}.  The difference g = a_chi - sum x_i a_{b_i} lies in
-    ZS ∩ ker(wt), which is ZS_G for a stable action.  `classify_facets`
-    checks v_P = e_P v_q on ZS_G for P over q and v_P = 0 on ZS_G at
-    height-zero facets, and every character divisor has its deep
-    coordinates zeroed, so
+    a_{b_i} (`points`; `basis_cols` holds the D(b_i)).  The difference
+    g = a_chi - sum x_i a_{b_i} lies in ZS ∩ ker(wt), which is ZS_G for a
+    stable action.  `classify_facets` checks v_P = e_P v_q on ZS_G for P
+    over q and v_P = 0 on ZS_G at height-zero facets, and every character
+    divisor has its deep coordinates zeroed, so
 
         D(chi) - sum x_i D(b_i)
             = -sum_q (m_q(a_chi) - sum x_i m_q(a_{b_i}) - v_q(g)) c_q,
@@ -236,7 +240,7 @@ def _envelope_certificate(
     sweep pins it down.
     """
     cls = ctx.cls
-    vals = [ctx.S.valuation_vector(ctx.fiber_element(b)) for b in basis]
+    vals = [ctx.S.valuation_vector(a) for a in points]
     reachable = [
         col
         for fiber, col in zip(cls.fibers, cls.fiber_columns)

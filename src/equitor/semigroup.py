@@ -14,10 +14,11 @@ integer solution.  A nonnegative x0 is the answer.  Otherwise the kernel is
 put in Hermite form and `coset_orthant_search` walks the coset in the
 orthant; it decides exactly when that region is empty or bounded, rank one
 included.  Only an unbounded region falls back to the completion solver on
-the homogenized system.  The character sweeps run no query per character:
-a product of monomials has the sum of their weights, so a swept character
-gets the sum of points already found (of the signed qualified-basis
-characters, or of Hilbert-basis elements).
+the homogenized system.  A query keeps no state, so a caller that needs a
+point twice holds on to it.  The character sweeps run no query per
+character: a product of monomials has the sum of their weights, so a swept
+character gets the sum of points already found (of the signed
+qualified-basis characters, or of Hilbert-basis elements).
 
 The solver's search is breadth-first by 1-norm over nodes x >= 0 with
 residual v = A x, stepping along e_j when v . c_j < 0 (c_j the columns of
@@ -55,19 +56,19 @@ Vec = tuple[int, ...]
 
 @dataclass(eq=False)
 class Budget:
-    """The solver caps and memo tables of one analysis.
+    """The solver caps and the semigroup table of one analysis.
 
     `max_norm` bounds the completion solver's breadth-first depth;
     `max_nodes` bounds the candidates of the completion solver and the
     nodes of the coset search.  Every solver, sampler and divisor context
-    takes the budget as a required argument.  Its tables of semigroups and
-    fiber points are the only memo tables in the engine: they live and die
-    with the budget, so no result depends on what an earlier analysis
-    computed or under which caps.  The fiber table holds searched points
-    only; the character sweeps add those up instead of searching each swept
-    character.  The bounded walk of one fiber
-    (`enumerate_fiber`) and the freeness oracle built on it run no capped
-    search and keep no table, so they read no budget.
+    takes the budget as a required argument.  Its table of semigroups is
+    the only memo table in the engine: it lives and dies with the budget,
+    so no result depends on what an earlier analysis computed or under
+    which caps.  Fiber points are not memoized: each caller searches a
+    fiber once and hands the point on, and the character sweeps add points
+    up instead of searching each swept character.  The bounded walk of one
+    fiber (`enumerate_fiber`) and the freeness oracle built on it run no
+    capped search and keep no table, so they read no budget.
 
     Two deterministic counters record the completion solver's work:
     `nodes` sums its candidates over all calls, and `norm_reached` is the
@@ -77,7 +78,6 @@ class Budget:
     max_norm: int = 64
     max_nodes: int = 10**6
     semigroups: dict = field(default_factory=dict, repr=False)
-    fibers: dict = field(default_factory=dict, repr=False)
     nodes: int = 0
     norm_reached: int = 0
 
@@ -151,14 +151,15 @@ class WeightedAction:
         return tuple(sum(w[i] * x for w, x in zip(self.weights, a)) for i in range(self.char_length))
 
     def relation_lattice(self) -> Sublattice:
-        """Lattice of character-group relations inside Z^char_length."""
+        """Lattice of character-group relations inside Z^char_length.  Its
+        columns m_i e_(free_rank + i) are already in canonical Hermite form."""
         k = self.char_length
         cols = []
         for i, m in enumerate(self.torsion_moduli):
             col = [0] * k
             col[self.free_rank + i] = m
             cols.append(tuple(col))
-        return Sublattice.from_columns(cols, k)
+        return Sublattice(k, tuple(cols))
 
     def weight_rows(self) -> list[tuple[Vec, int]]:
         """The weight map as (coefficients over variables, modulus) rows."""
@@ -428,29 +429,24 @@ def fiber_sample(
     and projected away.
     """
     chi = action.reduce_char(chi)
-    equal_items = tuple(sorted((equal or {}).items()))
-    upper_items = tuple(sorted((upper or {}).items()))
-    key = (action, chi, equal_items, upper_items)
-    if key in budget.fibers:
-        return budget.fibers[key]
-    got = None
-    if all(bound >= 0 for _, bound in upper_items):
-        n = action.ambient_dim
-        s = len(upper_items)
-        congs = [
-            (tuple(coeffs) + (0,) * s, m)
-            for coeffs, m in (*action.congruences, *action.weight_rows())
-        ]
-        rhs = [0] * len(action.congruences) + list(chi)
-        bounded = [((coord,), val) for coord, val in equal_items]
-        bounded += [((coord, n + k), bound) for k, (coord, bound) in enumerate(upper_items)]
-        for support, value in bounded:
-            rhs.append(value)
-            congs.append((tuple(int(j in support) for j in range(n + s)), 0))
-        sol = solve_system_nonneg(tuple(congs), n + s, rhs, budget)
-        got = sol[:n] if sol is not None else None
-    budget.fibers[key] = got
-    return got
+    equal_items = sorted((equal or {}).items())
+    upper_items = sorted((upper or {}).items())
+    if any(bound < 0 for _, bound in upper_items):
+        return None
+    n = action.ambient_dim
+    s = len(upper_items)
+    congs = [
+        (tuple(coeffs) + (0,) * s, m)
+        for coeffs, m in (*action.congruences, *action.weight_rows())
+    ]
+    rhs = [0] * len(action.congruences) + list(chi)
+    bounded = [((coord,), val) for coord, val in equal_items]
+    bounded += [((coord, n + k), bound) for k, (coord, bound) in enumerate(upper_items)]
+    for support, value in bounded:
+        rhs.append(value)
+        congs.append((tuple(int(j in support) for j in range(n + s)), 0))
+    sol = solve_system_nonneg(tuple(congs), n + s, rhs, budget)
+    return sol[:n] if sol is not None else None
 
 
 def enumerate_fiber(action: WeightedAction, chi: Vec, degree_cap: int) -> list[Vec]:

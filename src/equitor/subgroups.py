@@ -86,10 +86,6 @@ class SubgroupOfG:
 
     annihilator: SubgroupOfA
 
-    @property
-    def action(self) -> WeightedAction:
-        return self.annihilator.action
-
     def contains(self, other: "SubgroupOfG") -> bool:
         # H1 <= H2 iff B2 <= B1
         return other.annihilator.contains_subgroup(self.annihilator)

@@ -1,7 +1,10 @@
 """Shared fixture actions used across the suite."""
 
+from contextlib import contextmanager
+
 import pytest
 
+import equitor.divisors
 from equitor.lattice import Sublattice
 from equitor.semigroup import WeightedAction
 from equitor.subgroups import SubgroupOfA, SubgroupOfG
@@ -77,6 +80,42 @@ def ramification_lattice(ctx) -> Sublattice:
     nf = ctx.S.facet_count
     deep = [tuple(int(i == pi) for i in range(nf)) for pi in ctx.cls.ht2plus]
     return Sublattice.from_columns(list(ctx.cls.fiber_columns) + deep, nf)
+
+
+@contextmanager
+def fiber_queries():
+    """Record every `fiber_sample` call that `equitor.divisors` makes and
+    that returns, in order, as ((action, reduced chi, sorted equal items,
+    sorted upper items), answer); the answer is None for an empty fiber."""
+    real = equitor.divisors.fiber_sample
+    calls = []
+
+    def spy(action, chi, *, equal=None, upper=None, budget):
+        got = real(action, chi, equal=equal, upper=upper, budget=budget)
+        key = (
+            action,
+            action.reduce_char(chi),
+            tuple(sorted((equal or {}).items())),
+            tuple(sorted((upper or {}).items())),
+        )
+        calls.append((key, got))
+        return got
+
+    equitor.divisors.fiber_sample = spy
+    try:
+        yield calls
+    finally:
+        equitor.divisors.fiber_sample = real
+
+
+def repeated_queries(calls) -> list:
+    """The queries in `calls` that an earlier call already made."""
+    seen, out = set(), []
+    for key, _got in calls:
+        if key in seen:
+            out.append(key)
+        seen.add(key)
+    return out
 
 
 @pytest.fixture

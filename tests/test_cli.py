@@ -9,6 +9,7 @@ import pytest
 from equitor.cli import main, parse_input
 from equitor.errors import InputError
 from equitor.pipeline import Options
+from conftest import fiber_queries, repeated_queries
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -93,6 +94,16 @@ def test_dchi_and_free():
     assert rep["free"] is True and rep["witness"] is not None
     rep = run_json("free", str(FIXTURES / "example_5_8.json"), "--chi", "0,1")
     assert rep["free"] is False
+
+
+@pytest.mark.parametrize("fixture,chi", [("example_5_8", "0,1"), ("example_5_7", "1,0")])
+def test_dchi_searches_its_point_once(fixture, chi, capsys):
+    # both class maps and both orders read the one searched point
+    with fiber_queries() as calls:
+        assert main(["dchi", str(FIXTURES / f"{fixture}.json"), "--chi", chi]) == 0
+    assert repeated_queries(calls) == []
+    assert [key[1] for key, _ in calls] == [tuple(map(int, chi.split(",")))]
+    assert json.loads(capsys.readouterr().out)["chi"] == list(map(int, chi.split(",")))
 
 
 def test_obstruction_command():

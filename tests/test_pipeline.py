@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import equitor.oracles
 from equitor.cli import parse_input
 from equitor.errors import CappedComputationError, InputError, InvariantViolationError
 from equitor.oracles import (
@@ -137,6 +138,21 @@ def test_main_theorem_all_true_on_fixtures():
     for act in (action_5_7(), action_5_8(), polynomial_action(2)):
         conds = main_theorem_conditions(Analysis(act))
         assert set(conds.values()) == {True}
+
+
+def test_main_theorem_sweeps_at_the_wide_bound(monkeypatch):
+    # the exponent-multiples condition checks the wider sweep, not the
+    # analysis's own sweep
+    real, bounds = equitor.oracles.t_consistency_check, []
+
+    def spy(ctx, qualified, exponent, wide_bound):
+        bounds.append(wide_bound)
+        return real(ctx, qualified, exponent, wide_bound)
+
+    monkeypatch.setattr(equitor.oracles, "t_consistency_check", spy)
+    options = Options(sweep_bound=2, wide_bound=3)
+    assert set(main_theorem_conditions(Analysis(action_5_7(), options)).values()) == {True}
+    assert bounds == [3]
 
 
 def test_main_theorem_all_false_on_an_infinite_module_side():

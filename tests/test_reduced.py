@@ -16,7 +16,7 @@ from equitor.reduced import (
 )
 from equitor.semigroup import WeightedAction, fiber_sample
 from equitor.subgroups import SubgroupOfA, weight_unit_lattice
-from conftest import action_5_7, action_5_8, polynomial_action
+from conftest import action_5_7, action_5_8, fiber_queries, polynomial_action
 from corpus import random_action
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
@@ -181,11 +181,12 @@ def test_qualified_lattice_runs_no_search():
     an = Analysis(_pool_action("orthant", 317))
     ctx, reflection, units = an.ctx, an.reflection, an.units
     assert not ctx.cls.no_blowing_up
-    nodes, fibers = an.budget.nodes, dict(an.budget.fibers)
-    q = qualified_lattice(ctx, reflection, units, 3)
+    nodes = an.budget.nodes
+    with fiber_queries() as calls:
+        q = qualified_lattice(ctx, reflection, units, 3)
     assert q.basis_chars() == [(1, 1)] and q.provenance == "exact"
     assert an.budget.nodes == nodes
-    assert an.budget.fibers == fibers
+    assert calls == []
 
 
 def test_qualified_basis_members_qualify(fx57, fx58):

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equitor.errors import CappedComputationError, InputError
-from equitor.lattice import matrix_rank
+from equitor.lattice import Sublattice, matrix_rank
 from equitor.semigroup import (
     Budget,
     WeightedAction,
@@ -162,6 +162,16 @@ def test_weight_of(fx58):
         b = tuple(rng.randint(0, 4) for _ in range(4))
         ab = tuple(x + y for x, y in zip(a, b))
         assert action.weight_of(ab) == action.char_add(action.weight_of(a), action.weight_of(b))
+
+
+@pytest.mark.parametrize("torsion", [(), (3,), (2, 4)])
+def test_relation_lattice_is_in_hermite_form(torsion):
+    # the relation columns are built in canonical form, no normal form pass
+    act = WeightedAction(1, 1, torsion, ((1,) + (0,) * len(torsion),))
+    k = act.char_length
+    cols = [tuple(m * (i == 1 + j) for i in range(k)) for j, m in enumerate(torsion)]
+    assert act.relation_lattice() == Sublattice.from_columns(cols, k)
+    assert act.relation_lattice().basis == tuple(cols)
 
 
 def test_fiber_sample(fx58):

@@ -24,6 +24,7 @@ from equitor.semigroup import (
     minimal_nonneg_solutions,
 )
 from equitor.subgroups import perp, quotient_action
+from conftest import fiber_queries
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -141,18 +142,19 @@ def test_solver_work_counters_are_pinned(name, nodes, norm_reached):
 @pytest.mark.parametrize("name", ["example_5_7", "example_5_8", "polynomial_ring", "scaling_torus"])
 def test_unit_weights_run_no_search(name):
     # once the semigroups are built, the stability decision and the
-    # stabilization touch neither the solver nor the fiber memo
+    # stabilization touch neither the solver nor a fiber search
     an = _fixture_analysis(name)
     act = an.connected_action
     build_semigroup(act, an.budget)
-    before = (an.budget.nodes, dict(an.budget.fibers))
-    assert an.input_stable == (name != "scaling_torus")
-    assert (an.budget.nodes, an.budget.fibers) == before
-    if not an.input_stable:
-        build_semigroup(quotient_action(act, perp(an.input_units)), an.budget)
-        before = (an.budget.nodes, dict(an.budget.fibers))
-    an.units
-    assert (an.budget.nodes, an.budget.fibers) == before
+    with fiber_queries() as calls:
+        before = an.budget.nodes
+        assert an.input_stable == (name != "scaling_torus")
+        assert (an.budget.nodes, calls) == (before, [])
+        if not an.input_stable:
+            build_semigroup(quotient_action(act, perp(an.input_units)), an.budget)
+            before = an.budget.nodes
+        an.units
+    assert (an.budget.nodes, calls) == (before, [])
 
 
 def test_candidate_cap_boundary_on_5_8():

@@ -15,12 +15,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from equitor.cli import parse_input
+from equitor.cli import analyze_report, parse_input
 from equitor.errors import CappedComputationError
 from equitor.oracles import NO, bounded_freeness_oracle
 from equitor.pipeline import Analysis, Options, weight_sweep_points
 from equitor.reduced import sweep_points
 from equitor.semigroup import WeightedAction
+from conftest import fiber_queries, repeated_queries
 from corpus import random_action
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
@@ -49,10 +50,16 @@ def _check_points(ctx, points):
 
 
 def _cross_check(an: Analysis):
-    """Check the points of every sweep the analysis runs."""
-    an.verdict
+    """Check the points of every sweep the analysis runs, built from the
+    signed basis points that the analysis itself searched."""
+    with fiber_queries() as calls:
+        an.verdict
+        an.reduced
     ctx, basis, bound = an.ctx, an.qualified.basis_chars(), an.options.sweep_bound
-    sweeps = [(ctx, sweep_points(ctx, basis, b)) for b in (bound, bound + 1)]
+    act = ctx.action
+    searched = {key[1]: a for key, a in calls if key[0] == act and key[2:] == ((), ())}
+    signed = [(searched[b], searched[act.char_scale(-1, b)]) for b in basis]
+    sweeps = [(ctx, sweep_points(act, basis, b, signed)) for b in (bound, bound + 1)]
     contexts = [ctx]
     if an.obstruction is not None:
         contexts.append(an.context_for(an.obstruction.obstruction))
@@ -113,14 +120,33 @@ OUTSIDE_THE_SWEEPS = {"scaling_torus": {(0,)}}
 @pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.stem)
 def test_the_sweeps_search_only_the_signed_basis_characters(fixture):
     an = _fixture_analysis(fixture)
-    an.verdict
+    with fiber_queries() as calls:
+        an.verdict
     act = an.action
-    plain = {key[1] for key in an.budget.fibers if key[2:] == ((), ())}
+    plain = {key[1] for key, _ in calls if key[2:] == ((), ())}
     signed = {act.char_scale(s, b) for b in an.qualified.basis_chars() for s in (1, -1)}
     assert plain == signed | OUTSIDE_THE_SWEEPS.get(fixture.stem, set())
     # freeness is decided by one exact-match search per character: no
     # upper-bounded search runs on the verdict path
-    assert not [key for key in an.budget.fibers if key[3]]
+    assert not [key for key, _ in calls if key[3]]
+
+
+# the four fixtures, `orthant` #295 (two basis characters) and corpus #6,
+# whose wide sweep runs
+REPEAT_CASES = [("fixture", p) for p in FIXTURES] + [("orthant", 295), ("corpus", 6)]
+
+
+@pytest.mark.parametrize("pool,index", REPEAT_CASES, ids=lambda x: getattr(x, "stem", str(x)))
+def test_no_fiber_query_repeats_within_an_analysis(pool, index):
+    # each caller searches a fiber once and hands the point on, so the
+    # engine never asks the same query twice
+    if pool == "fixture":
+        an = _fixture_analysis(index)
+    else:
+        an = Analysis(_pool_action(pool, index))
+    with fiber_queries() as calls:
+        analyze_report(an)
+    assert repeated_queries(calls) == []
 
 
 @settings(max_examples=150, deadline=None)

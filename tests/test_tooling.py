@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from equitor.semigroup import Budget
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "equitor"
 FIXTURES = sorted((ROOT / "fixtures").glob("*.json"))
@@ -150,6 +152,13 @@ def test_only_the_budget_holds_memo_tables():
         if holds_dict(node)
     ]
     assert found == []
+
+
+def test_the_budget_holds_only_the_semigroup_table():
+    # a fiber table, or any other memo table in the budget, would let a
+    # query answer from an earlier one instead of from its arguments
+    containers = [k for k, v in vars(Budget()).items() if isinstance(v, (dict, list, set))]
+    assert containers == ["semigroups"]
 
 
 SEARCHES = ("fiber_sample", "solve_system_nonneg", "minimal_nonneg_solutions", "enumerate_fiber")
