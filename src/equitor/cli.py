@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from .errors import CappedComputationError, EquitorError, InputError
+from .errors import CappedComputationError, CharacterNotRealizedError, EquitorError, InputError
 from .oracles import bounded_freeness_oracle, null_fiber_dimension
 from .pipeline import Analysis, Options
 from .reduced import reduced_class_groups
@@ -175,6 +175,15 @@ def analyze_report(an: Analysis) -> dict:
     return report
 
 
+def fiber_point(an: Analysis, chi: Vec) -> Vec:
+    """The point that `dchi` and `free` read the character at: an empty
+    fiber is bad input, not a failed check."""
+    try:
+        return an.ctx.fiber_element(chi)
+    except CharacterNotRealizedError as e:
+        raise InputError(f"--chi: {e}") from None
+
+
 def run(command: str, doc, flags) -> dict:
     action, options = parse_input(doc)
     report: dict = {"command": command, "input": echo_input(action, options)}
@@ -211,20 +220,20 @@ def run(command: str, doc, flags) -> dict:
         report.update({"of": which, "invariant_factors": list(cl.invariant_factors)})
     elif command == "dchi":
         chi = parse_char(flags.chi, action.char_length)
-        a = an.ctx.fiber_element(chi)
-        D = an.ctx.char_divisor(chi, a)
+        a = fiber_point(an, chi)
+        D = an.ctx.char_divisor(a)
         report.update(
             {
                 "chi": list(chi),
                 "coefficients": list(D.coeffs),
                 "class": list(an.ctx.cl_R.class_of(D)),
                 "order": an.ctx.cl_R.order_of(D),
-                "module_order": an.ctx.cl_RG.order_of(an.ctx.module_divisor(chi, a)),
+                "module_order": an.ctx.cl_RG.order_of(an.ctx.module_divisor(a)),
             }
         )
     elif command == "free":
         chi = parse_char(flags.chi, action.char_length)
-        free, wit = an.ctx.free_test(chi)
+        free, wit = an.ctx.free_test(fiber_point(an, chi))
         report.update(
             {
                 "chi": list(chi),

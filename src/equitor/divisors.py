@@ -166,11 +166,12 @@ class DivisorContext:
     """Bundles one action with its semigroup pair, ineffective kernel,
     classification, and class groups.  It holds no memo table: every
     solver call runs under `budget`, shared with the analysis that made
-    the context.  The class maps and the freeness test start from the
-    weight-chi point their caller passes (the sweeps build theirs by
-    addition); without one they search it through `fiber_element`, which
-    keeps no point, so a caller that reads one character more than once
-    searches it once and passes the point on."""
+    the context.  The class maps, the freeness test and the violator
+    search read the weight-chi point `a` their caller passes, and take chi
+    as its weight; none of them searches for a point of its own.  The
+    sweeps build their points by addition, and a caller with no point
+    searches one through `fiber_element`, which keeps no point, and passes
+    it on."""
 
     def __init__(self, action: WeightedAction, budget: Budget):
         self.action = action
@@ -199,12 +200,10 @@ class DivisorContext:
 
     # -- the minimal effective divisor of a character ----------------------
 
-    def char_divisor(self, chi: Vec, a: Vec | None = None) -> DivisorVector:
-        """Minimal effective divisor of the character: the common divisor of
-        all weight-chi monomials with every full-fiber multiple stripped.
-        It reads the weight-chi point `a`, searched when not given."""
-        if a is None:
-            a = self.fiber_element(chi)
+    def char_divisor(self, a: Vec) -> DivisorVector:
+        """Minimal effective divisor of the character chi = wt(a): the common
+        divisor of all weight-chi monomials with every full-fiber multiple
+        stripped, read off the weight-chi point `a`."""
         D = self._char_divisor_from(a)
         b = self.second_fiber_element(a)
         if b is not None and self._char_divisor_from(b) != D:
@@ -254,12 +253,10 @@ class DivisorContext:
                 coeffs.append(0)
         return DivisorVector("RG", tuple(coeffs))
 
-    def module_divisor(self, chi: Vec, a: Vec | None = None) -> DivisorVector:
-        """Divisor on K[S_G] of the module of weight-chi elements, via the
-        contraction of (1/f) K[S] for the weight-chi monomial f = x^a,
-        searched when not given.  Its class does not depend on f."""
-        if a is None:
-            a = self.fiber_element(chi)
+    def module_divisor(self, a: Vec) -> DivisorVector:
+        """Divisor on K[S_G] of the module of weight-chi elements, chi =
+        wt(a), via the contraction of (1/f) K[S] for the weight-chi monomial
+        f = x^a.  Its class does not depend on f."""
         D = self.contraction_divisor(tuple(-v for v in self.S.valuation_vector(a)))
         b = self.second_fiber_element(a)
         if b is not None:
@@ -270,29 +267,24 @@ class DivisorContext:
                 raise InvariantViolationError("module divisor depends on the fiber element")
         return D
 
-    def module_class_order(self, chi: Vec) -> int | None:
-        return self.cl_RG.order_of(self.module_divisor(chi))
-
-    def char_class_order(self, chi: Vec) -> int | None:
-        return self.cl_R.order_of(self.char_divisor(chi))
-
     # -- freeness ----------------------------------------------------------
 
-    def free_test(self, chi: Vec, a: Vec | None = None) -> tuple[bool, Vec | None]:
-        """Rank-one freeness of the weight-chi module M_chi over R^G = K[S_G].
+    def free_test(self, a: Vec) -> tuple[bool, Vec | None]:
+        """Rank-one freeness of the module M_chi over R^G = K[S_G], where
+        chi = wt(a) is the weight of the point `a` the caller passes.
 
         The verdict is one search, for a weight-chi monomial whose valuations
         equal the character divisor away from deep facets: the generator when
         M_chi is free.  It is checked against the class of `module_divisor`
         in Cl(R^G), the generalized Stanley criterion (R. P. Stanley, Invent.
         Math. 68 (1982); W. Bruns, J. Gubeladze, Algebr. Represent. Theory 6
-        (2003)).  Both read the weight-chi point `a`, searched when not given.
+        (2003)).  Both read `a`; no other point is searched.
 
         The action is stabilized, so weight-chi monomials differ by invariant
         fractions.  The R^G-reflexive hull of M_chi is the set of weight-chi
         h with v_P(h) >= 0 at every height-one prime P of R = K[S] that
         contracts to height <= 1.  For h = x^a g that is div(g) >= D on R^G,
-        D = `module_divisor(chi, a)`: a facet P over q asks v_q(g) >=
+        D = `module_divisor(a)`: a facet P over q asks v_q(g) >=
         ceil(-v_P(a) / e(P, q)), a height-zero facet asks nothing (v_P
         vanishes on ZS_G), and a non-monomial prime holds no monomial and
         contracts to height <= 1 (module docstring).  So the hull is x^a
@@ -306,64 +298,60 @@ class DivisorContext:
         the check is one-sided; the verdict path never meets it, because
         `decide_cofree` returns before any freeness test when a facet blows up.
         """
-        if a is None:
-            a = self.fiber_element(chi)
-        D = self.char_divisor(chi, a)
+        chi = self.action.weight_of(a)
+        D = self.char_divisor(a)
         exact = {}
         for P in self.S.facets:
             if self.cls.facets[P.index].tier in (HT0, HT1):
                 exact[P.coord] = P.scale * D.coeffs[P.index]
         w1 = fiber_sample(self.action, chi, equal=exact, budget=self.budget)
         free = w1 is not None
-        principal = self.cl_RG.is_principal(self.module_divisor(chi, a))
+        principal = self.cl_RG.is_principal(self.module_divisor(a))
         if free != principal and (free or self.cls.no_blowing_up):
             raise InvariantViolationError("freeness routes disagree")
         return free, w1
 
-    def not_free_violator(self, chi: Vec) -> tuple[Vec, Vec] | None:
-        """Exact witness that the weight-chi module is not free, or None.
+    def not_free_violator(self, a: Vec) -> tuple[Vec, Vec] | None:
+        """Exact witness that the module M_chi, chi = wt(a), is not free, or
+        None.
 
         A rank-one-free module is generated by its unique minimal-degree
         monomial, so either two minimal monomials exist, or some fiber
-        element drops below the minimal one at a coordinate.  Independent of
-        the divisor-theoretic freeness route.
+        element drops below the minimal one at a coordinate.  The minimal
+        monomials are listed up to the degree of the point `a` the caller
+        passes; the only searches are the `upper`-bounded ones below them.
+        Independent of the divisor-theoretic freeness route.
         """
-        chi = self.action.reduce_char(chi)
-        a0 = self.fiber_element(chi)
-        slice_ = enumerate_fiber(self.action, chi, sum(a0))
+        chi = self.action.weight_of(a)
+        slice_ = enumerate_fiber(self.action, chi, sum(a))
         dmin = sum(slice_[0])
         mins = [b for b in slice_ if sum(b) == dmin]
         if len(mins) > 1:
             return mins[0], mins[1]
-        a = mins[0]
+        low = mins[0]
         for i in range(self.action.ambient_dim):
-            if a[i] == 0:
+            if low[i] == 0:
                 continue
-            b = fiber_sample(self.action, chi, upper={i: a[i] - 1}, budget=self.budget)
+            b = fiber_sample(self.action, chi, upper={i: low[i] - 1}, budget=self.budget)
             if b is not None:
-                return a, b
+                return low, b
         return None
 
     # -- facet principality (for the non-principal reflection subgroup) ----
 
-    def obstructing_facet_flags(self) -> dict[int, bool]:
-        """Per height-one facet: principality of the contracted invariant prime.
+    def obstructing_facets(self) -> list:
+        """The height-one facets over an invariant prime of nonzero class.
 
-        Only a facet sitting over an invariant prime of nonzero class can
-        contribute to the module-class subgroup, so these flags (not the
-        facet's own class upstairs) drive the non-principal reflection
-        subgroup.
+        Only such a facet can contribute to the module-class subgroup, so
+        these (not the facets of nonzero class upstairs) span the
+        non-principal reflection subgroup.
         """
-        q_principal = {}
-        for q in self.S_G.facets:
-            unit = DivisorVector(
-                "RG", tuple(1 if i == q.index else 0 for i in range(self.S_G.facet_count))
-            )
-            q_principal[q.index] = self.cl_RG.is_principal(unit)
-        out = {}
-        for P in self.S.facets:
-            info = self.cls.facets[P.index]
-            out[P.index] = q_principal[info.q_index] if info.tier == HT1 else True
+        nq = self.S_G.facet_count
+        out = []
+        for P in self.ht1_facets():
+            q = self.cls.facets[P.index].q_index
+            if not self.cl_RG.is_principal(DivisorVector("RG", tuple(int(i == q) for i in range(nq)))):
+                out.append(P)
         return out
 
     def ht1_facets(self) -> list:

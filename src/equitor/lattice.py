@@ -346,8 +346,10 @@ class QuotientGroup:
 
     ambient: int
     lattice: Sublattice
-    _u: IntMatrix = field(repr=False, compare=False)
-    _diag: tuple[int, ...] = field(repr=False, compare=False)
+    # unimodular U with y = U v the invariant-factor coordinates
+    transform: IntMatrix = field(repr=False, compare=False)
+    # moduli of the first coordinates; coordinates past these are free
+    diag: tuple[int, ...] = field(repr=False, compare=False)
 
     @staticmethod
     def of(lattice: Sublattice) -> "QuotientGroup":
@@ -356,29 +358,19 @@ class QuotientGroup:
         return QuotientGroup(lattice.ambient, lattice, U, d)
 
     @property
-    def transform(self) -> IntMatrix:
-        """Unimodular U with y = U v the invariant-factor coordinates."""
-        return self._u
-
-    @property
-    def diag(self) -> tuple[int, ...]:
-        """Moduli of the first coordinates; coordinates past these are free."""
-        return self._diag
-
-    @property
     def invariant_factors(self) -> tuple[int, ...]:
         """Nontrivial torsion factors in divisibility order, then 0 per free factor."""
-        tor = [d for d in self._diag if d > 1]
-        free = self.ambient - len(self._diag)
+        tor = [d for d in self.diag if d > 1]
+        free = self.ambient - len(self.diag)
         return tuple(tor) + (0,) * free
 
     def canonical(self, v: Vec) -> Vec:
         """Canonical coordinates of v + L in the invariant-factor basis."""
-        y = self._u.mul_vec(v)
+        y = self.transform.mul_vec(v)
         out = []
         for i in range(self.ambient):
-            if i < len(self._diag):
-                d = self._diag[i]
+            if i < len(self.diag):
+                d = self.diag[i]
                 out.append(y[i] % d if d else y[i])
             else:
                 out.append(y[i])
@@ -386,12 +378,12 @@ class QuotientGroup:
 
     def order_of(self, v: Vec) -> int | None:
         """Order of v + L; None means infinite."""
-        y = self._u.mul_vec(v)
+        y = self.transform.mul_vec(v)
         m = 1
         for i in range(self.ambient):
             c = y[i]
-            if i < len(self._diag):
-                d = self._diag[i]
+            if i < len(self.diag):
+                d = self.diag[i]
                 m = lcm(m, d // gcd(d, c)) if d else (m if c == 0 else None)
             else:
                 if c != 0:

@@ -13,19 +13,21 @@ theorem's equivalent conditions, each evaluated on its own; the corollary
 "cofree iff the obstruction restricts trivially"; the check that every
 qualified character becomes free at the exponent; the search route to the
 freeness exponent; and the restriction of an action to a subgroup, which
-runs the oracles on that subgroup's action.
+runs the oracles on that subgroup's action.  Like the engine, each searches
+a fiber point once per character it starts from and reaches every other
+character it reads by adding and scaling points: the class maps and the
+freeness test read the point they are handed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .divisors import DivisorContext
 from .errors import CappedComputationError, InputError, InvariantViolationError
 from .lattice import IntMatrix, QuotientGroup, matrix_rank, solve_diophantine
-from .reduced import QualifiedLattice, sweep_chars
+from .reduced import QualifiedLattice, signed_points, sweep_points
 from .semigroup import (
     AffineSemigroup,
     Budget,
@@ -45,19 +47,13 @@ NO = "no"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class FaceLatticeSlice:
-    """Distinct faces of cone(S): Hilbert-basis index set, rank, and the
-    coordinates forced to zero by a defining facet subset."""
-
-    faces: tuple[tuple[frozenset[int], int, frozenset[int]], ...]
-
-
 MAX_FACES = 4096
 
 
-def face_lattice(S: AffineSemigroup) -> FaceLatticeSlice:
-    """All faces of cone(S), as intersections of facets."""
+def face_lattice(S: AffineSemigroup) -> tuple[tuple[frozenset[int], int, frozenset[int]], ...]:
+    """All faces of cone(S), as intersections of facets: for each distinct
+    face its Hilbert-basis index set, its rank, and the coordinates forced to
+    zero by a defining facet subset, by rank."""
     hb = S.hilbert_basis
     all_idx = frozenset(range(len(hb)))
     seen: dict[frozenset[int], tuple[int, frozenset[int]]] = {}
@@ -72,10 +68,9 @@ def face_lattice(S: AffineSemigroup) -> FaceLatticeSlice:
                     raise CappedComputationError("face enumeration", MAX_FACES)
                 coords = frozenset(S.facets[fi].coord for fi in subset)
                 seen[idx] = (matrix_rank([hb[i] for i in idx]), coords)
-    faces = tuple(
+    return tuple(
         sorted(((k, v[0], v[1]) for k, v in seen.items()), key=lambda t: (t[1], sorted(t[0])))
     )
-    return FaceLatticeSlice(faces)
 
 
 def null_fiber_dimension(
@@ -88,9 +83,8 @@ def null_fiber_dimension(
     on all its defining coordinates; the null fiber is the union of such
     faces, so its dimension is their maximal rank.
     """
-    slice_ = face_lattice(S_X)
     best = 0
-    for _idx, rank, coords in slice_.faces:
+    for _idx, rank, coords in face_lattice(S_X):
         if rank <= best:
             continue
         if not _face_has_invariants(coords, S_G):
@@ -206,15 +200,19 @@ def min_free_multiple(ctx: DivisorContext, chi: Vec) -> int | None:
     cross-checked against the freeness test at every multiple up to it.
     A module class of infinite order has no free multiple (only a few
     small multiples are spot-checked then); the divisor class order
-    carries no information in that case.
+    carries no information in that case.  The character's fiber is searched
+    once; its k-th multiple is read at the point k·a.
     """
-    act = ctx.action
-    chi = act.reduce_char(chi)
-    d_ord = ctx.char_class_order(chi)
-    m_ord = ctx.module_class_order(chi)
+    a = ctx.fiber_element(chi)
+    d_ord = ctx.cl_R.order_of(ctx.char_divisor(a))
+    m_ord = ctx.cl_RG.order_of(ctx.module_divisor(a))
+
+    def free_at(k: int) -> bool:
+        return ctx.free_test(tuple(k * x for x in a))[0]
+
     if m_ord is None:
         for k in range(1, 4):
-            if ctx.free_test(act.char_scale(k, chi))[0]:
+            if free_at(k):
                 raise InvariantViolationError("free multiple of a non-torsion module class")
         return None
     if d_ord != m_ord:
@@ -222,9 +220,9 @@ def min_free_multiple(ctx: DivisorContext, chi: Vec) -> int | None:
             f"divisor-class and module-class orders disagree ({d_ord} vs {m_ord})"
         )
     for k in range(1, d_ord):
-        if ctx.free_test(act.char_scale(k, chi))[0]:
+        if free_at(k):
             raise InvariantViolationError("free multiple below the class order")
-    if not ctx.free_test(act.char_scale(d_ord, chi))[0]:
+    if not free_at(d_ord):
         raise InvariantViolationError("module not free at the class order")
     return d_ord
 
@@ -235,12 +233,12 @@ def t_consistency_check(
     exponent: int,
     wide_bound: int,
 ) -> bool:
-    """Every qualified character in the wider sweep becomes free at the exponent."""
-    act = ctx.action
-    for chi in sweep_chars(act, qualified.basis_chars(), wide_bound):
-        if not ctx.free_test(act.char_scale(exponent, chi))[0]:
-            return False
-    return True
+    """Every qualified character in the wider sweep becomes free at the
+    exponent.  Only the signed basis characters are searched; the sweep's
+    points are their sums, scaled by the exponent."""
+    basis = qualified.basis_chars()
+    points = sweep_points(ctx.action, basis, wide_bound, signed_points(ctx, basis))
+    return all(ctx.free_test(tuple(exponent * x for x in a))[0] for _chi, a in sorted(points.items()))
 
 
 def main_theorem_conditions(an: Analysis) -> dict:

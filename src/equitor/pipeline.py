@@ -265,12 +265,7 @@ class Analysis:
         F = self._primary_part(refl_part, self.reflection)
         H = tor_subgroup(coprime, self.kernel).join(tor_subgroup(refl_part, F))
         ctx_h = self.context_for(H)
-        obs = pseudo_reflection_group(
-            ctx_h.action,
-            ctx_h.ht1_facets(),
-            ctx_h.kernel,
-            principal_flags=ctx_h.obstructing_facet_flags(),
-        )
+        obs = pseudo_reflection_group(ctx_h.action, ctx_h.obstructing_facets(), ctx_h.kernel)
         if not obs.contains(self.kernel):
             raise InvariantViolationError("obstruction subgroup misses the kernel")
         restr = restriction_data(obs, self.kernel)
@@ -310,7 +305,7 @@ class Analysis:
         points = weight_sweep_points(ctx, self.options.sweep_bound)
         checked = 0
         for chi, a in sorted(points.items()):
-            free, _wit = ctx.free_test(chi, a)
+            free, _wit = ctx.free_test(a)
             verdict = bounded_freeness_oracle(ctx.S_G, act, chi, self.options.degree_cap)
             if verdict != INCONCLUSIVE:
                 checked += 1
@@ -322,7 +317,7 @@ class Analysis:
                 if verdict == YES and not free:
                     # the slice verdict is cap-conditioned; demand an exact
                     # violator beyond the cap before trusting the engine
-                    if ctx.not_free_violator(chi) is None:
+                    if ctx.not_free_violator(a) is None:
                         raise InvariantViolationError(
                             f"no freeness violator exists at character {chi}"
                         )

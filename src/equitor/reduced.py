@@ -101,6 +101,16 @@ def sweep_chars(action, basis: list[Vec], bound: int) -> list[Vec]:
     return sorted(sweep_combinations(action, basis, bound))
 
 
+def signed_points(ctx: DivisorContext, basis: list[Vec]) -> list[tuple[Vec, Vec]]:
+    """A point a_i^+ of b_i and a_i^- of -b_i for each basis character,
+    the `signed` argument of `sweep_points`.  Each distinct signed character
+    is searched once, in the order b_1, -b_1, b_2, ...; both signs are
+    realized because the basis lies in the unit weights."""
+    negated = [ctx.action.char_scale(-1, b) for b in basis]
+    found = {c: ctx.fiber_element(c) for c in dict.fromkeys(itertools.chain(*zip(basis, negated)))}
+    return [(found[b], found[c]) for b, c in zip(basis, negated)]
+
+
 def sweep_points(action, basis: list[Vec], bound: int, signed: list[tuple[Vec, Vec]]) -> dict[Vec, Vec]:
     """Each character of the bound sweep over the basis, mapped to a fiber
     point built by addition; `signed` holds a point a_i^+ of b_i and a_i^-
@@ -139,11 +149,7 @@ def reduced_class_groups(
     """Sweep the qualified lattice and assemble both reduced class groups."""
     act = ctx.action
     basis = qualified.basis_chars()
-    # each distinct signed basis character is searched once; both signs are
-    # realized because the basis lies in the unit weights
-    negated = [act.char_scale(-1, b) for b in basis]
-    found = {c: ctx.fiber_element(c) for c in dict.fromkeys(itertools.chain(*zip(basis, negated)))}
-    signed = [(found[b], found[c]) for b, c in zip(basis, negated)]
+    signed = signed_points(ctx, basis)
     swept = sweep_points(act, basis, sweep_bound, signed)
     div_cols: dict[Vec, Vec] = {}  # swept character -> its divisor's coefficients
     mod_cols: list[Vec] = []
@@ -153,8 +159,8 @@ def reduced_class_groups(
     for chi, a in sorted(swept.items()):
         if chi == act.zero_char:
             continue
-        D = ctx.char_divisor(chi, a)
-        M = ctx.module_divisor(chi, a)
+        D = ctx.char_divisor(a)
+        M = ctx.module_divisor(a)
         d_ord = ctx.cl_R.order_of(D)
         m_ord = ctx.cl_RG.order_of(M)
         # the orders coincide exactly when the module class is torsion; a
@@ -178,7 +184,7 @@ def reduced_class_groups(
         raise InvariantViolationError("finite exponents of the two sides disagree")
 
     def divisor_coeffs(chi: Vec, a: Vec) -> Vec:
-        return div_cols[chi] if chi in div_cols else ctx.char_divisor(chi, a).coeffs
+        return div_cols[chi] if chi in div_cols else ctx.char_divisor(a).coeffs
 
     # with no basis the generated group is {0}, which the sweep holds
     plus = [a for a, _ in signed]

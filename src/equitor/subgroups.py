@@ -233,20 +233,14 @@ def is_stable(S: AffineSemigroup, action: WeightedAction, units: SubgroupOfA) ->
 
 def pseudo_reflection_group(
     action: WeightedAction,
-    ht1_facets: list[FacetPrime],
+    facets: list[FacetPrime],
     kernel: SubgroupOfG,
-    principal_flags: dict[int, bool] | None = None,
 ) -> SubgroupOfG:
-    """Join of the inertia subgroups at height-one-over-height-one facets,
-    always joined with the ineffective kernel.
-
-    With `principal_flags` (supplied by the divisor module), facets flagged
-    principal are skipped: only facets whose divisor class is nonzero
-    qualify.
-    """
+    """Join of the inertia subgroups at the given height-one facets, always
+    joined with the ineffective kernel.  Over the facets of `ht1_facets()`
+    it is the pseudo-reflection group; over `obstructing_facets()` (the
+    facets over an invariant prime of nonzero class) the obstruction."""
     out = kernel
-    for P in ht1_facets:
-        if principal_flags is not None and principal_flags[P.index]:
-            continue
+    for P in facets:
         out = out.join(inertia_subgroup(action, P))
     return out

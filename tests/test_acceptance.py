@@ -132,12 +132,13 @@ def test_acceptance_3_order_equality_sweep():
         for chi in sweep_chars(act, an.qualified.basis_chars(), 3):
             if chi == act.zero_char:
                 continue
-            d_ord = ctx.char_class_order(chi)
-            m_ord = ctx.module_class_order(chi)
+            a = ctx.fiber_element(chi)
+            d_ord = ctx.cl_R.order_of(ctx.char_divisor(a))
+            m_ord = ctx.cl_RG.order_of(ctx.module_divisor(a))
             assert d_ord == m_ord, (chi, d_ord, m_ord)
             min_free = None
             for q in range(1, 13):
-                if ctx.free_test(act.char_scale(q, chi))[0]:
+                if ctx.free_test(ctx.fiber_element(act.char_scale(q, chi)))[0]:
                     min_free = q
                     break
             assert min_free == d_ord, (chi, d_ord, min_free)
@@ -160,16 +161,16 @@ def test_acceptance_4_divisor_identities():
         ]
         # fiber independence: recompute from several enumerated fiber elements
         for chi in chars[:12]:
-            D = ctx.char_divisor(chi)
+            D = ctx.char_divisor(ctx.fiber_element(chi))
             fib = enumerate_fiber(act, chi, 12)
             assert len(fib) >= 2
             for a in fib[:3]:
                 assert ctx._char_divisor_from(a) == D
         # scaling
         for chi in chars[:8]:
-            D = ctx.char_divisor(chi)
+            D = ctx.char_divisor(ctx.fiber_element(chi))
             for m in range(1, 5):
-                assert ctx.char_divisor(act.char_scale(m, chi)).coeffs == tuple(
+                assert ctx.char_divisor(ctx.fiber_element(act.char_scale(m, chi))).coeffs == tuple(
                     m * c for c in D.coeffs
                 )
         # additivity defect lies in the ramification lattice
@@ -181,9 +182,9 @@ def test_acceptance_4_divisor_identities():
             defect = tuple(
                 d - d1 - d2
                 for d, d1, d2 in zip(
-                    ctx.char_divisor(s).coeffs,
-                    ctx.char_divisor(c1).coeffs,
-                    ctx.char_divisor(c2).coeffs,
+                    ctx.char_divisor(ctx.fiber_element(s)).coeffs,
+                    ctx.char_divisor(ctx.fiber_element(c1)).coeffs,
+                    ctx.char_divisor(ctx.fiber_element(c2)).coeffs,
                 )
             )
             assert ram.contains(defect)
@@ -291,7 +292,7 @@ def test_acceptance_7_dual_paths():
         for chi in sorted(seen):
             verdict = bounded_freeness_oracle(ctx.S_G, act, chi, 12)
             assert verdict in (YES, NO)
-            assert (verdict == YES) == ctx.free_test(chi)[0], chi
+            assert (verdict == YES) == ctx.free_test(ctx.fiber_element(chi))[0], chi
             freeness_checked += 1
     order_checked = 0
     rng = random.Random(99)

@@ -106,6 +106,13 @@ def test_dchi_searches_its_point_once(fixture, chi, capsys):
     assert json.loads(capsys.readouterr().out)["chi"] == list(map(int, chi.split(",")))
 
 
+@pytest.mark.parametrize("command", ["dchi", "free"])
+def test_a_character_with_an_empty_fiber_is_bad_input(command, capsys):
+    # no monomial of example 5.8 has weight (1, 0): exit 2, not a failed check
+    assert main([command, str(FIXTURES / "example_5_8.json"), "--chi", "1,0"]) == 2
+    assert "--chi" in capsys.readouterr().err
+
+
 def test_obstruction_command():
     rep = run_json("obstruction", str(FIXTURES / "example_5_8.json"))
     assert rep["t"] == 3 and rep["t_tilde"] == 3 and rep["t_reflection"] == 1

@@ -15,7 +15,14 @@ from equitor.divisors import (
 from equitor.errors import CharacterNotRealizedError
 from equitor.oracles import min_free_multiple
 from equitor.semigroup import Budget, WeightedAction, build_semigroup
-from conftest import action_5_7, action_5_8, polynomial_action, ramification_lattice, scaling_action
+from conftest import (
+    action_5_7,
+    action_5_8,
+    fiber_queries,
+    polynomial_action,
+    ramification_lattice,
+    scaling_action,
+)
 
 
 def ctx_of(action):
@@ -72,10 +79,10 @@ def test_free_test_under_a_blow_up_checks_the_class_one_way():
     ctx = ctx_of(deep_contraction_action())
     assert ctx.cl_RG.invariant_factors == ()
     # M_1 = (x, z) R^G: principal class, yet not free, and no raise
-    assert ctx.cl_RG.is_principal(ctx.module_divisor((1,)))
-    assert ctx.free_test((1,)) == (False, None)
+    assert ctx.cl_RG.is_principal(ctx.module_divisor(ctx.fiber_element((1,))))
+    assert ctx.free_test(ctx.fiber_element((1,))) == (False, None)
     # M_-1 = y R^G
-    assert ctx.free_test((-1,)) == (True, (0, 1, 0))
+    assert ctx.free_test(ctx.fiber_element((-1,))) == (True, (0, 1, 0))
 
 
 def test_ramification_index_two():
@@ -119,25 +126,25 @@ def test_contraction_power_scaling(fx57, fx58):
 def test_char_divisor_zero_character(fx57, fx58):
     for action in (fx57, fx58):
         ctx = ctx_of(action)
-        assert ctx.char_divisor(action.zero_char).coeffs == (0,) * ctx.S.facet_count
+        assert ctx.char_divisor(ctx.fiber_element(action.zero_char)).coeffs == (0,) * ctx.S.facet_count
 
 
 def test_char_divisor_invariant_realized(fx58):
     ctx = ctx_of(fx58)
     # any character realized by an invariant monomial gets the zero divisor
-    assert ctx.char_divisor((0, 0)).coeffs == (0, 0, 0)
+    assert ctx.char_divisor(ctx.fiber_element((0, 0))).coeffs == (0, 0, 0)
 
 
 def test_char_divisor_5_8_value(fx58):
     ctx = ctx_of(fx58)
-    D = ctx.char_divisor((0, 1))
+    D = ctx.char_divisor(ctx.fiber_element((0, 1)))
     by_coord = {ctx.S.facets[i].coord: c for i, c in enumerate(D.coeffs)}
     assert by_coord == {0: 1, 1: 0, 2: 0}
 
 
 def test_char_divisor_5_7_value(fx57):
     ctx = ctx_of(fx57)
-    D = ctx.char_divisor((1, 0))
+    D = ctx.char_divisor(ctx.fiber_element((1, 0)))
     by_coord = {ctx.S.facets[i].coord: c for i, c in enumerate(D.coeffs)}
     assert by_coord == {0: 1, 1: 0, 2: 0, 3: 0}
 
@@ -145,7 +152,7 @@ def test_char_divisor_5_7_value(fx57):
 def test_char_divisor_unrealized(fx58):
     ctx = ctx_of(fx58)
     with pytest.raises(CharacterNotRealizedError):
-        ctx.char_divisor((1, 0))
+        ctx.char_divisor(ctx.fiber_element((1, 0)))
 
 
 def test_char_divisor_independence_across_fibers(fx57, fx58):
@@ -158,7 +165,7 @@ def test_char_divisor_independence_across_fibers(fx57, fx58):
     ):
         ctx = ctx_of(action)
         for chi in chars:
-            D = ctx.char_divisor(chi)
+            D = ctx.char_divisor(ctx.fiber_element(chi))
             fib = enumerate_fiber(action, chi, 10)
             assert len(fib) >= 2
             for a in fib[:4]:
@@ -185,31 +192,32 @@ def test_class_group_5_7(fx57):
 def test_module_class_zero_for_invariant_characters(fx57, fx58):
     for action in (action_5_7(), action_5_8()):
         ctx = ctx_of(action)
-        assert ctx.module_class_order(action.zero_char) == 1
+        assert ctx.cl_RG.order_of(ctx.module_divisor(ctx.fiber_element(action.zero_char))) == 1
 
 
 def test_module_class_order_3(fx58):
     ctx = ctx_of(fx58)
-    assert ctx.module_class_order((0, 1)) == 3
-    assert ctx.char_class_order((0, 1)) == 3
+    a = ctx.fiber_element((0, 1))
+    assert ctx.cl_RG.order_of(ctx.module_divisor(a)) == 3
+    assert ctx.cl_R.order_of(ctx.char_divisor(a)) == 3
 
 
 def test_stanley_test_5_7(fx57):
     ctx = ctx_of(fx57)
-    free, wit = ctx.free_test((0, 0))
+    free, wit = ctx.free_test(ctx.fiber_element((0, 0)))
     assert free and wit == (0, 0, 0, 0)
-    free, wit = ctx.free_test((1, 0))
+    free, wit = ctx.free_test(ctx.fiber_element((1, 0)))
     assert not free
-    free, wit = ctx.free_test((3, 0))
+    free, wit = ctx.free_test(ctx.fiber_element((3, 0)))
     assert free
     assert ctx.action.weight_of(wit) == (3, 0)
 
 
 def test_stanley_test_5_8(fx58):
     ctx = ctx_of(fx58)
-    assert not ctx.free_test((0, 1))[0]
-    assert not ctx.free_test((0, 2))[0]
-    free, wit = ctx.free_test((0, 3))
+    assert not ctx.free_test(ctx.fiber_element((0, 1)))[0]
+    assert not ctx.free_test(ctx.fiber_element((0, 2)))[0]
+    free, wit = ctx.free_test(ctx.fiber_element((0, 3)))
     assert free and ctx.action.weight_of(wit) == (0, 3)
 
 
@@ -223,7 +231,7 @@ def test_ambient_5_7_torus_cofree_characters():
     )
     ctx = ctx_of(action)
     for chi in itertools.product(range(-2, 3), repeat=2):
-        assert ctx.free_test(chi)[0]
+        assert ctx.free_test(ctx.fiber_element(chi))[0]
 
 
 def test_min_free_multiple(fx57, fx58):
@@ -234,14 +242,22 @@ def test_min_free_multiple(fx57, fx58):
     assert min_free_multiple(ctx8, (0, 1)) == 3
 
 
+def test_min_free_multiple_searches_its_point_once(fx58):
+    # the k-th multiple is read at k times the one searched point
+    ctx = ctx_of(fx58)
+    with fiber_queries() as calls:
+        assert min_free_multiple(ctx, (0, 1)) == 3
+    assert [key[1] for key, _ in calls if key[2:] == ((), ())] == [(0, 1)]
+
+
 def test_char_divisor_scaling(fx57, fx58):
     for action in (action_5_7(), action_5_8()):
         ctx = ctx_of(action)
         units = [(1, 0), (0, 1)] if action is not None else []
         for chi in ([(1, 0), (0, 1)] if action.congruences[0][1] == 3 else [(0, 1)]):
-            D = ctx.char_divisor(chi)
+            D = ctx.char_divisor(ctx.fiber_element(chi))
             for m in range(1, 5):
-                Dm = ctx.char_divisor(action.char_scale(m, chi))
+                Dm = ctx.char_divisor(ctx.fiber_element(action.char_scale(m, chi)))
                 assert Dm.coeffs == tuple(m * c for c in D.coeffs)
 
 
@@ -258,7 +274,9 @@ def test_char_divisor_congruence_defect(fx57):
         defect = tuple(
             d - d1 - d2
             for d, d1, d2 in zip(
-                ctx.char_divisor(s).coeffs, ctx.char_divisor(c1).coeffs, ctx.char_divisor(c2).coeffs
+                ctx.char_divisor(ctx.fiber_element(s)).coeffs,
+                ctx.char_divisor(ctx.fiber_element(c1)).coeffs,
+                ctx.char_divisor(ctx.fiber_element(c2)).coeffs,
             )
         )
         assert ram.contains(defect)
@@ -274,7 +292,7 @@ def test_divisor_embedding_bounded(fx58):
     ctx = ctx_of(action)
     for chi in [(0, 1), (0, -1), (0, 2)]:
         a = ctx.fiber_element(chi)
-        D = ctx.module_divisor(chi)
+        D = ctx.module_divisor(a)
         # sample monomials of the contraction ideal with small coefficients
         basis = ctx.S_G.lattice.basis
         for combo in itertools.product(range(-3, 4), repeat=len(basis)):

@@ -10,13 +10,16 @@ from equitor.oracles import (
     brute_force_class_order,
     face_lattice,
     null_fiber_dimension,
+    t_consistency_check,
 )
+from equitor.pipeline import Analysis
 from equitor.semigroup import Budget, WeightedAction, build_semigroup
 from equitor.subgroups import invariant_action
 from conftest import (
     action_5_7,
     action_5_8,
     ambient_torus_action,
+    fiber_queries,
     polynomial_action,
 )
 
@@ -36,8 +39,7 @@ def test_null_fiber_ambient_torus():
     dim, ok = null_fiber_dimension(S, SG)
     assert (dim, ok) == (2, True)
     # cross-check by enumerating all coordinate faces directly
-    faces = face_lattice(S)
-    assert len(faces.faces) == 16
+    assert len(face_lattice(S)) == 16
 
 
 def test_null_fiber_5_7_and_5_8(fx57, fx58):
@@ -89,7 +91,7 @@ def test_bounded_freeness_agrees_with_divisor_test(fx57, fx58):
             verdict = bounded_freeness_oracle(ctx.S_G, act, chi, 12)
             if verdict == INCONCLUSIVE:
                 continue
-            assert (verdict == YES) == ctx.free_test(chi)[0], chi
+            assert (verdict == YES) == ctx.free_test(ctx.fiber_element(chi))[0], chi
 
 
 def test_brute_force_class_order_examples(fx58):
@@ -117,3 +119,15 @@ def test_brute_force_matches_lattice_orders(fx57, fx58):
                 assert brute == exact
             else:
                 assert brute is None
+
+
+def test_t_consistency_check_searches_only_the_signed_basis_characters(fx57, fx58):
+    # the sweep's points are sums of the signed basis points, scaled by t
+    for act in (fx57, fx58):
+        an = Analysis(act)
+        t = an.reduced.module_exponent
+        basis = an.qualified.basis_chars()
+        signed = list(dict.fromkeys(act.char_scale(s, b) for b in basis for s in (1, -1)))
+        with fiber_queries() as calls:
+            assert t_consistency_check(an.ctx, an.qualified, t, an.options.wide_bound)
+        assert [key[1] for key, _ in calls if key[2:] == ((), ())] == signed

@@ -252,10 +252,7 @@ def test_reflection_quotient_action_is_cofree():
             ctx_n = an.context_for(N)
             act_n = ctx_n.action
             refl_tilde = pseudo_reflection_group(
-                act_n,
-                ctx_n.ht1_facets(),
-                ineffective_kernel(ctx_n.S, act_n),
-                principal_flags=ctx_n.obstructing_facet_flags(),
+                act_n, ctx_n.obstructing_facets(), ineffective_kernel(ctx_n.S, act_n)
             )
             join = N.join(an.reflection)
             sub = restrict_action_to_subgroup(

@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equitor.cli import analyze_report, parse_input
+from equitor.divisors import DivisorContext
 from equitor.errors import CappedComputationError
 from equitor.oracles import NO, bounded_freeness_oracle
 from equitor.pipeline import Analysis, Options, weight_sweep_points
@@ -42,11 +43,12 @@ def _check_points(ctx, points):
     act = ctx.action
     for chi, a in points.items():
         assert ctx.S.contains(a) and act.weight_of(a) == chi, chi
-        assert ctx.char_divisor(chi, a) == ctx.char_divisor(chi), chi
+        b = ctx.fiber_element(chi)
+        assert ctx.char_divisor(a) == ctx.char_divisor(b), chi
         # the module divisor moves by a principal divisor with the point
-        moved, searched = ctx.module_divisor(chi, a), ctx.module_divisor(chi)
+        moved, searched = ctx.module_divisor(a), ctx.module_divisor(b)
         assert ctx.cl_RG.class_of(moved) == ctx.cl_RG.class_of(searched), chi
-        assert ctx.free_test(chi, a) == ctx.free_test(chi), chi
+        assert ctx.free_test(a) == ctx.free_test(b), chi
 
 
 def _cross_check(an: Analysis):
@@ -160,11 +162,30 @@ def test_free_test_matches_the_violator_search_and_the_module_class(action):
         an = Analysis(action, Options(solver_norm_cap=32, max_candidates=20000))
         ctx = an.ctx
         for chi, a in sorted(weight_sweep_points(ctx, 2).items()):
-            free, _wit = ctx.free_test(chi, a)
-            assert free == (ctx.not_free_violator(chi) is None), chi
+            free, _wit = ctx.free_test(a)
+            assert free == (ctx.not_free_violator(ctx.fiber_element(chi)) is None), chi
             if bounded_freeness_oracle(ctx.S_G, ctx.action, chi, an.options.degree_cap) == NO:
                 assert not free, chi
             if free:
-                assert ctx.cl_RG.is_principal(ctx.module_divisor(chi, a)), chi
+                assert ctx.cl_RG.is_principal(ctx.module_divisor(a)), chi
     except CappedComputationError:
         assume(False)
+
+
+def test_the_violator_searches_only_below_the_point_it_is_handed(monkeypatch):
+    # corpus #166 reaches the violator search on its verdict path: it lists
+    # the fiber up to the degree of the point `decide_cofree` summed, and
+    # searches only below the minimal monomial, never for a point of its own
+    real = DivisorContext.not_free_violator
+    queries = []
+
+    def spy(self, *args):
+        with fiber_queries() as calls:
+            out = real(self, *args)
+        queries.append(calls)
+        return out
+
+    monkeypatch.setattr(DivisorContext, "not_free_violator", spy)
+    assert Analysis(_pool_action("corpus", 166)).verdict.cofree == "no"
+    assert len(queries) == 1 and queries[0]
+    assert [key for key, _ in queries[0] if not key[3]] == []

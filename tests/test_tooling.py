@@ -1,8 +1,8 @@
 """Source-level guarantees: no state that outlives one analysis, no cap or
 cache outside the analysis's budget, no parameter a body never reads, no
-search in the group layers, no invariant check that `python -O` can strip,
-and no name the engine never calls outside the reference routes of
-`oracles.py`."""
+fiber point that its reader can search for itself, no search in the group
+layers, no invariant check that `python -O` can strip, and no name the
+engine never calls outside the reference routes of `oracles.py`."""
 
 import ast
 import importlib.util
@@ -68,9 +68,9 @@ def test_no_module_level_dicts():
     assert found == []
 
 
-def test_budgets_and_bounds_are_required():
-    # a defaulted budget or bound would let a search run under caps or
-    # caches that its analysis did not state
+def _defaulted_parameters(names):
+    """Every parameter in `names` that some function gives a default, as
+    "module:line:function(parameter)"."""
     found = []
     for name, tree in _modules():
         for node in ast.walk(tree):
@@ -80,12 +80,20 @@ def test_budgets_and_bounds_are_required():
             positional = args.posonlyargs + args.args
             defaulted = positional[len(positional) - len(args.defaults) :]
             defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-            found += [
-                f"{name}:{node.lineno}:{node.name}({a.arg})"
-                for a in defaulted
-                if a.arg in ("budget", "sweep_bound", "degree_cap", "wide_bound")
-            ]
-    assert found == []
+            found += [f"{name}:{node.lineno}:{node.name}({a.arg})" for a in defaulted if a.arg in names]
+    return found
+
+
+def test_budgets_and_bounds_are_required():
+    # a defaulted budget or bound would let a search run under caps or
+    # caches that its analysis did not state
+    assert _defaulted_parameters(("budget", "sweep_bound", "degree_cap", "wide_bound")) == []
+
+
+def test_fiber_points_are_required():
+    # a defaulted point would let a class map or freeness test search its
+    # fiber again instead of reading the point its caller already holds
+    assert _defaulted_parameters(("a",)) == []
 
 
 def test_every_parameter_is_read():
