@@ -32,7 +32,6 @@ from .semigroup import (
 )
 from .subgroups import ineffective_kernel, invariant_action
 
-HT0 = "ht0"
 HT1 = "ht1"
 HT2PLUS = "ht2plus"
 
@@ -50,30 +49,45 @@ class FacetOverInvariants:
 class FacetClassification:
     """Per-facet tiers, fibers over invariant facets, and their columns.
 
-    The full-fiber column c_q of an invariant facet q has e(P, q) at each
-    facet P over q and 0 elsewhere, inside Z^{facets of S_X}: the divisor
+    Every facet of S_X is height-one (over one invariant facet) or deep
+    (height >= 2), and every fiber is nonempty (`classify_facets`).  The
+    full-fiber column c_q of an invariant facet q has e(P, q) at each facet
+    P over q and 0 elsewhere, inside Z^{facets of S_X}: the divisor
     upstairs of the prime q.  Character divisors are additive modulo these
-    columns together with the unit vectors at deep (height >= 2) facets.
+    columns together with the unit vectors at deep facets.
     """
 
     facets: tuple[FacetOverInvariants, ...]
     fibers: tuple[tuple[int, ...], ...]  # q index -> facet indices of S_X over q
     ht2plus: tuple[int, ...]
-    fiber_columns: tuple[Vec, ...]  # q index -> c_q, zero when nothing lies over q
-
-    @property
-    def all_invariant_facets_covered(self) -> bool:
-        return all(len(f) > 0 for f in self.fibers)
+    fiber_columns: tuple[Vec, ...]  # q index -> c_q
 
     @property
     def no_blowing_up(self) -> bool:
-        """No codimension jump at height one: every invariant facet is covered
-        and no facet of S_X contracts to height two or more."""
-        return self.all_invariant_facets_covered and not self.ht2plus
+        """No codimension jump at height one: no facet of S_X contracts to
+        height two or more (every invariant facet has one over it)."""
+        return not self.ht2plus
 
 
 def classify_facets(S_X: AffineSemigroup, S_G: AffineSemigroup) -> FacetClassification:
-    """Tier every facet of S_X by the height of its contraction to K[S_G]."""
+    """Tier every facet of S_X by the height of its contraction to K[S_G].
+
+    A facet P of height zero has v_P = 0 on all of S_G, and none exists
+    exactly when the action is stable.  If it is, each Hilbert-basis
+    element h has some h' in S of weight -wt(h), and the invariant sum of
+    the h + h' is positive on every facet.  Conversely, if each facet P has
+    an invariant g_P with v_P(g_P) > 0, their sum g is positive on every
+    facet; for h in S and m large, mg - h lies in ZS with every facet value
+    >= 0, so in S (S is saturated), and has weight -wt(h).  So a
+    height-zero facet raises: the action is not stable.
+
+    On any action, every invariant facet q has a facet of S_X over it.
+    cone(S_G) is cone(S_X) cut by the rational kernel of the weights (a
+    multiple of a rational point of that cut lies in S with weight 0), so q
+    lies on the hyperplane v_P = 0 of some facet P of S_X.  The
+    Hilbert-basis elements of S_G with v_P = 0 are then those on q, which
+    span rank S_G - 1, so P lies over q.  An empty fiber raises.
+    """
     hbg = S_G.hilbert_basis
     infos = []
     fibers: list[list[int]] = [[] for _ in S_G.facets]
@@ -83,10 +97,8 @@ def classify_facets(S_X: AffineSemigroup, S_G: AffineSemigroup) -> FacetClassifi
         zero_idx = frozenset(i for i, v in enumerate(vals) if v == 0)
         zero_rank = matrix_rank([hbg[i] for i in zero_idx])
         if zero_rank == S_G.rank:
-            if any(vals):
-                raise InvariantViolationError("facet valuation nonzero on a full-rank face")
-            infos.append(FacetOverInvariants(HT0))
-        elif zero_rank == S_G.rank - 1:
+            raise InvariantViolationError("the action is not stable")
+        if zero_rank == S_G.rank - 1:
             q = next((q for q in S_G.facets if q.zero_set == zero_idx), None)
             if q is None:
                 raise InvariantViolationError("corank-one face does not match a facet")
@@ -102,6 +114,8 @@ def classify_facets(S_X: AffineSemigroup, S_G: AffineSemigroup) -> FacetClassifi
         else:
             infos.append(FacetOverInvariants(HT2PLUS))
             ht2plus.append(P.index)
+    if not all(fibers):
+        raise InvariantViolationError("an invariant facet has no facet over it")
     columns = tuple(
         tuple(infos[pi].ram_index if pi in fiber else 0 for pi in range(S_X.facet_count))
         for fiber in fibers
@@ -163,8 +177,9 @@ class ClassGroupData:
 
 
 class DivisorContext:
-    """Bundles one action with its semigroup pair, ineffective kernel,
-    classification, and class groups.  It holds no memo table: every
+    """Bundles one stable action with its semigroup pair, ineffective
+    kernel, classification, and class groups; `classify_facets` refuses an
+    unstable action.  It holds no memo table: every
     solver call runs under `budget`, shared with the analysis that made
     the context.  The class maps, the freeness test and the violator
     search read the weight-chi point `a` their caller passes, and take chi
@@ -216,10 +231,7 @@ class DivisorContext:
     def _char_divisor_from(self, a: Vec) -> DivisorVector:
         vals = self.S.valuation_vector(a)
         coeffs = list(vals)
-        for q in self.S_G.facets:
-            fiber = self.cls.fibers[q.index]
-            if not fiber:
-                continue
+        for fiber in self.cls.fibers:
             drop = min(vals[pi] // self.cls.facets[pi].ram_index for pi in fiber)
             for pi in fiber:
                 coeffs[pi] -= drop * self.cls.facets[pi].ram_index
@@ -228,11 +240,8 @@ class DivisorContext:
         return DivisorVector("R", tuple(coeffs))
 
     def _check_minimality(self, D: DivisorVector):
-        for q in self.S_G.facets:
-            fiber = self.cls.fibers[q.index]
-            if fiber and not any(
-                D.coeffs[pi] < self.cls.facets[pi].ram_index for pi in fiber
-            ):
+        for fiber in self.cls.fibers:
+            if not any(D.coeffs[pi] < self.cls.facets[pi].ram_index for pi in fiber):
                 raise InvariantViolationError("character divisor is not minimal over a facet")
 
     # -- contraction to the invariant ring ---------------------------------
@@ -242,16 +251,11 @@ class DivisorContext:
         with the given facet valuations (rounded up fiberwise)."""
         if len(vals) != self.S.facet_count:
             raise InputError("one valuation per facet required")
-        coeffs = []
-        for q in self.S_G.facets:
-            fiber = self.cls.fibers[q.index]
-            if fiber:
-                coeffs.append(
-                    max(ceil_frac(vals[pi], self.cls.facets[pi].ram_index) for pi in fiber)
-                )
-            else:
-                coeffs.append(0)
-        return DivisorVector("RG", tuple(coeffs))
+        coeffs = tuple(
+            max(ceil_frac(vals[pi], self.cls.facets[pi].ram_index) for pi in fiber)
+            for fiber in self.cls.fibers
+        )
+        return DivisorVector("RG", coeffs)
 
     def module_divisor(self, a: Vec) -> DivisorVector:
         """Divisor on K[S_G] of the module of weight-chi elements, chi =
@@ -280,13 +284,13 @@ class DivisorContext:
         Math. 68 (1982); W. Bruns, J. Gubeladze, Algebr. Represent. Theory 6
         (2003)).  Both read `a`; no other point is searched.
 
-        The action is stabilized, so weight-chi monomials differ by invariant
-        fractions.  The R^G-reflexive hull of M_chi is the set of weight-chi
-        h with v_P(h) >= 0 at every height-one prime P of R = K[S] that
-        contracts to height <= 1.  For h = x^a g that is div(g) >= D on R^G,
-        D = `module_divisor(a)`: a facet P over q asks v_q(g) >=
-        ceil(-v_P(a) / e(P, q)), a height-zero facet asks nothing (v_P
-        vanishes on ZS_G), and a non-monomial prime holds no monomial and
+        The action is stable (`classify_facets` checks it), so weight-chi
+        monomials differ by invariant fractions.  The R^G-reflexive hull of
+        M_chi is the set of weight-chi h with v_P(h) >= 0 at every
+        height-one prime P of R = K[S] that contracts to height <= 1.  For
+        h = x^a g that is div(g) >= D on R^G, D = `module_divisor(a)`: a
+        facet P over q asks v_q(g) >= ceil(-v_P(a) / e(P, q)), no facet has
+        height zero, and a non-monomial prime holds no monomial and
         contracts to height <= 1 (module docstring).  So the hull is x^a
         times the divisorial ideal of D, free exactly when D is principal.
         (=>) on every action: a free M_chi is reflexive, so equals its hull.
@@ -302,7 +306,7 @@ class DivisorContext:
         D = self.char_divisor(a)
         exact = {}
         for P in self.S.facets:
-            if self.cls.facets[P.index].tier in (HT0, HT1):
+            if self.cls.facets[P.index].tier == HT1:
                 exact[P.coord] = P.scale * D.coeffs[P.index]
         w1 = fiber_sample(self.action, chi, equal=exact, budget=self.budget)
         free = w1 is not None

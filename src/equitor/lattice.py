@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import CappedComputationError, InputError, InvariantViolationError
@@ -422,40 +423,36 @@ def _cone_constraints(x0: Vec, cols: list[Vec]) -> set[tuple[Vec, int]]:
     }
 
 
-def _fm_eliminate(
-    cons: set[tuple[Vec, int]], r: int, keep: int | None = None
-) -> set[tuple[Vec, int]]:
-    """Fourier-Motzkin: project {y : coeff . y + const >= 0} onto variable
-    `keep` (onto nothing when None) over exact integers, scaling rows by
-    positive factors only."""
-    for var in range(r):
-        if var == keep:
-            continue
-        pos, neg, zer = [], [], []
-        for coeff, const in cons:
-            a = coeff[var]
-            (pos if a > 0 else neg if a < 0 else zer).append((coeff, const))
-        new = set(zer)
-        for pc, pk in pos:
-            for qc, qk in neg:
-                ap, aq = pc[var], -qc[var]
-                coeff = tuple(aq * pc[j] + ap * qc[j] for j in range(r))
-                new.add(_normalize_constraint(coeff, aq * pk + ap * qk))
-                if len(new) > FM_MAX_ROWS:
-                    raise CappedComputationError("Fourier-Motzkin elimination (rows)", FM_MAX_ROWS)
-        cons = new
-    return cons
+def _fm_eliminate(cons: set[tuple[Vec, int]], var: int) -> set[tuple[Vec, int]]:
+    """One Fourier-Motzkin step: project {y : coeff . y + const >= 0} along
+    variable `var` over exact integers, scaling rows by positive factors
+    only.  The rows keep their length, with a zero at `var`."""
+    pos, neg, zer = [], [], []
+    for coeff, const in cons:
+        a = coeff[var]
+        (pos if a > 0 else neg if a < 0 else zer).append((coeff, const))
+    new = set(zer)
+    for pc, pk in pos:
+        for qc, qk in neg:
+            ap, aq = pc[var], -qc[var]
+            coeff = tuple(aq * p + ap * q for p, q in zip(pc, qc))
+            new.add(_normalize_constraint(coeff, aq * pk + ap * qk))
+            if len(new) > FM_MAX_ROWS:
+                raise CappedComputationError("Fourier-Motzkin elimination (rows)", FM_MAX_ROWS)
+    return new
 
 
 def rational_shifted_cone_nonempty(x0: Vec, cols: list[Vec]) -> bool:
     """Is {y rational : x0 + cols*y >= 0 componentwise} nonempty?
 
-    The full elimination leaves only constant rows.  `weight_unit_lattice`
-    decides each unit weight with it (a Farkas test), for the semigroup and
-    for each deep face behind the qualified characters, and it is the
-    reference route for the emptiness that `coset_orthant_search` detects
-    in its first projection."""
-    cons = _fm_eliminate(_cone_constraints(x0, cols), len(cols))
+    Eliminating every variable leaves only constant rows.
+    `weight_unit_lattice` decides each unit weight with it (a Farkas test),
+    for the semigroup and for each deep face behind the qualified
+    characters, and it is the reference route for the emptiness that
+    `coset_orthant_search` reads off its projection onto y_0."""
+    cons = _cone_constraints(x0, cols)
+    for var in range(len(cols)):
+        cons = _fm_eliminate(cons, var)
     return all(const >= 0 for _coeff, const in cons)
 
 
@@ -475,7 +472,7 @@ def _integer_interval(rows) -> tuple[int | None, int | None] | None:
             b = ceil_frac(-k, c)
             lo = b if lo is None else max(lo, b)
         else:
-            b = _floor_frac(k, -c)
+            b = k // -c
             hi = b if hi is None else min(hi, b)
     if lo is not None and hi is not None and lo > hi:
         return None
@@ -488,12 +485,6 @@ def ceil_frac(num: int, den: int) -> int:
     return -((-num) // den)
 
 
-def _floor_frac(num: int, den: int) -> int:
-    if den <= 0:
-        raise InvariantViolationError("rounding a fraction with a nonpositive denominator")
-    return num // den
-
-
 FOUND = "found"
 EMPTY = "empty"
 CAPPED = "capped"
@@ -501,72 +492,62 @@ UNBOUNDED = "unbounded"
 
 
 def coset_orthant_search(x0: Vec, cols: list[Vec], budget: Budget) -> tuple[str, Vec | None]:
-    """Search {y integer : x0 + cols*y >= 0} by exact interval propagation.
+    """Search {y integer : x0 + cols*y >= 0} along one Fourier-Motzkin chain.
 
     Returns ("found", point in the ambient), ("empty", None) when the region
     is empty or a polytope exhausted without a point (a complete decision),
-    ("unbounded", None) when some variable range is infinite (the search
-    does not apply), or ("capped", None) when `budget.max_nodes` nodes ran out.
-    Fourier-Motzkin projection is exact over Q, so an empty region already
-    shows in the first projection.  With one column the projection is the
-    region itself, and its lower end (else its upper end, else 0) is the point.
+    ("unbounded", None) when the region is unbounded (the search does not
+    apply), or ("capped", None) when `budget.max_nodes` nodes ran out.
+    Eliminating y_(r-1), ..., y_1 once leaves the projections levels[k] of
+    the region onto y_0..y_k, exact over Q.  So an empty region has an
+    empty integer interval on levels[0], and with one column that interval
+    is the region: its lower end (else its upper end, else 0) is the point.
+    A level with no row of one sign on its last variable lets that variable
+    run off to infinity; otherwise the walk fixes y_0, y_1, ... in turn to
+    the integers its level allows given the values fixed so far, one node
+    per value, and every leaf is a point of the region (the last level).
     """
-    n = len(x0)
     r = len(cols)
     if r == 0:
         return (FOUND, tuple(x0)) if all(v >= 0 for v in x0) else (EMPTY, None)
-    cons = _cone_constraints(x0, cols)
-    ranges = []
-    for j in range(r):
-        b = _integer_interval((coeff[j], const) for coeff, const in _fm_eliminate(cons, r, j))
-        if b is None:
-            return EMPTY, None
-        lo, hi = b
-        if r == 1:
-            t = lo if lo is not None else hi if hi is not None else 0
-            return FOUND, tuple(a + t * c for a, c in zip(x0, cols[0]))
-        if lo is None or hi is None:
-            return UNBOUNDED, None
-        ranges.append((lo, hi))
-    order = sorted(range(r), key=lambda j: ranges[j][1] - ranges[j][0])
-    left = [budget.max_nodes]
+    levels = [_cone_constraints(x0, cols)]
+    for var in range(r - 1, 0, -1):
+        levels.insert(0, _fm_eliminate(levels[0], var))
 
-    def dfs(k: int, x: list[int]) -> Vec | None:
-        if k == r:
-            left[0] -= 1
-            return tuple(x) if all(v >= 0 for v in x) else None
-        j = order[k]
-        lo, hi = ranges[j]
-        rest = order[k + 1 :]
-        for val in range(lo, hi + 1):
-            left[0] -= 1
-            if left[0] <= 0:
+    def interval(y: Vec) -> tuple[int | None, int | None] | None:
+        k = len(y)
+        return _integer_interval((c[k], const + sum(map(mul, c, y))) for c, const in levels[k])
+
+    b = interval(())
+    if b is None:
+        return EMPTY, None
+    if r == 1:
+        lo, hi = b
+        t = lo if lo is not None else hi if hi is not None else 0
+        return FOUND, tuple(a + t * c for a, c in zip(x0, cols[0]))
+    # a level leaves its last variable unbounded on one side
+    if any(len({c[k] > 0 for c, _ in rows if c[k]}) < 2 for k, rows in enumerate(levels)):
+        return UNBOUNDED, None
+    left = budget.max_nodes
+
+    def walk(y: Vec) -> Vec | None:
+        nonlocal left
+        b = interval(y)
+        if b is None:
+            return None
+        for val in range(b[0], b[1] + 1):
+            left -= 1
+            if left <= 0:
                 return None
-            y = [x[i] + val * cols[j][i] for i in range(n)]
-            # optimistic repair check with the unassigned columns
-            ok = True
-            for i in range(n):
-                best = y[i]
-                for jj in rest:
-                    c = cols[jj][i]
-                    lo2, hi2 = ranges[jj]
-                    best += max(c * lo2, c * hi2)
-                if best < 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            got = dfs(k + 1, y)
-            if got is not None:
+            got = y + (val,) if len(y) == r - 1 else walk(y + (val,))
+            if got is not None or left <= 0:
                 return got
-            if left[0] <= 0:
-                return None
         return None
 
-    got = dfs(0, list(x0))
-    if got is not None:
-        return FOUND, got
-    return (CAPPED, None) if left[0] <= 0 else (EMPTY, None)
+    y = walk(())
+    if y is None:
+        return (CAPPED, None) if left <= 0 else (EMPTY, None)
+    return FOUND, tuple(a + sum(v * c[i] for v, c in zip(y, cols)) for i, a in enumerate(x0))
 
 
 def _normalize_constraint(coeff: Vec, const: int) -> tuple[Vec, int]:

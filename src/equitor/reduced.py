@@ -230,8 +230,9 @@ def _envelope_certificate(
     a_{b_i} (`points`; `basis_cols` holds the D(b_i)).  The difference
     g = a_chi - sum x_i a_{b_i} lies in ZS ∩ ker(wt), which is ZS_G for a
     stable action.  `classify_facets` checks v_P = e_P v_q on ZS_G for P
-    over q and v_P = 0 on ZS_G at height-zero facets, and every character
-    divisor has its deep coordinates zeroed, so
+    over q, every other facet is deep (none has height zero on a stable
+    action), and every character divisor has its deep coordinates zeroed,
+    so
 
         D(chi) - sum x_i D(b_i)
             = -sum_q (m_q(a_chi) - sum x_i m_q(a_{b_i}) - v_q(g)) c_q,
@@ -250,7 +251,7 @@ def _envelope_certificate(
     reachable = [
         col
         for fiber, col in zip(cls.fibers, cls.fiber_columns)
-        if len(fiber) > 1 or (fiber and any(v[fiber[0]] % col[fiber[0]] for v in vals))
+        if len(fiber) > 1 or any(v[fiber[0]] % col[fiber[0]] for v in vals)
     ]
     rel = list(ctx.cl_R.presentation.basis)
     nf = ctx.S.facet_count

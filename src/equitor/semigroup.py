@@ -11,14 +11,15 @@ weight and bound rows are lifted to equations over slack variables, and a
 zero right-hand side is answered by the origin.  One Smith solve gives a
 particular integer solution x0 and a kernel basis, or shows there is no
 integer solution.  A nonnegative x0 is the answer.  Otherwise the kernel is
-put in Hermite form and `coset_orthant_search` walks the coset in the
-orthant; it decides exactly when that region is empty or bounded, rank one
-included.  Only an unbounded region falls back to the completion solver on
-the homogenized system.  A query keeps no state, so a caller that needs a
-point twice holds on to it.  The character sweeps run no query per
-character: a product of monomials has the sum of their weights, so a swept
-character gets the sum of points already found (of the signed
-qualified-basis characters, or of Hilbert-basis elements).
+put in Hermite form and `coset_orthant_search` eliminates the coset's
+variables once, last to first, and walks the exact bounds each projection
+leaves; it decides exactly when that region is empty or bounded, rank one
+included.  Only an unbounded region with two or more kernel columns falls
+back to the completion solver on the homogenized system.  A query keeps no
+state, so a caller that needs a point twice holds on to it.  The character
+sweeps run no query per character: a product of monomials has the sum of
+their weights, so a swept character gets the sum of points already found
+(of the signed qualified-basis characters, or of Hilbert-basis elements).
 
 The solver's search is breadth-first by 1-norm over nodes x >= 0 with
 residual v = A x, stepping along e_j when v . c_j < 0 (c_j the columns of
@@ -335,8 +336,9 @@ def solve_system_nonneg(
     x0, ker_cols = sol
     if all(v >= 0 for v in x0):
         return x0[:n]
-    # the coset search decides exactly whenever the region is empty or a
-    # polytope, and is a fast witness finder otherwise
+    # the coset search decides exactly with one kernel column, or when the
+    # region is empty or a polytope; with two or more columns an unbounded
+    # region returns no point
     ker = Sublattice.from_columns(ker_cols, total)
     status, got = coset_orthant_search(x0, list(ker.basis), budget)
     if status == FOUND:

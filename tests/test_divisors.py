@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equitor.divisors import (
-    HT0,
     HT1,
     HT2PLUS,
     ClassGroupData,
@@ -12,9 +13,10 @@ from equitor.divisors import (
     DivisorVector,
     classify_facets,
 )
-from equitor.errors import CharacterNotRealizedError
+from equitor.errors import CharacterNotRealizedError, InvariantViolationError
 from equitor.oracles import min_free_multiple
 from equitor.semigroup import Budget, WeightedAction, build_semigroup
+from equitor.subgroups import is_stable, weight_unit_lattice
 from conftest import (
     action_5_7,
     action_5_8,
@@ -35,11 +37,39 @@ def test_classify_trivial_group():
     assert all(len(fib) == 1 for fib in ctx.cls.fibers)
 
 
-def test_classify_scaling_torus_ht0():
-    ctx = ctx_of(scaling_action())
-    # invariants are the constants: the single facet contracts to height 0
-    assert ctx.S_G.rank == 0
-    assert [f.tier for f in ctx.cls.facets] == [HT0]
+def test_classify_refuses_an_unstable_action():
+    # on both the invariants are the constants, so every facet has height
+    # zero; on the second, M_1 = span(x, y) is not free although Cl(K) = 0
+    for act in (scaling_action(), WeightedAction(2, 1, (), ((1,), (1,)))):
+        with pytest.raises(InvariantViolationError, match="the action is not stable"):
+            ctx_of(act)
+
+
+@st.composite
+def small_actions(draw):
+    n = draw(st.integers(1, 3))
+    free_rank = draw(st.integers(1, 2))
+    torsion = draw(st.sampled_from([(), (2,), (3,)]))
+    weight = st.tuples(*[st.integers(-2, 2)] * (free_rank + len(torsion)))
+    weights = tuple(draw(st.lists(weight, min_size=n, max_size=n)))
+    row = st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.sampled_from([2, 3]))
+    congruences = tuple(draw(st.lists(row, max_size=1)))
+    return WeightedAction(n, free_rank, torsion, weights, congruences)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_actions())
+@example(scaling_action())
+@example(WeightedAction(2, 1, (), ((1,), (1,))))
+def test_a_context_builds_exactly_on_a_stable_action(act):
+    S = build_semigroup(act, Budget())
+    stable = is_stable(S, act, weight_unit_lattice(S.hilbert_basis, act))
+    try:
+        ctx_of(act)
+    except InvariantViolationError as e:
+        assert not stable and str(e) == "the action is not stable"
+    else:
+        assert stable
 
 
 def test_classify_5_8(fx58):

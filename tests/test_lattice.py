@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd, lcm, prod
 
@@ -327,7 +328,7 @@ def test_sublattice_coordinates_round_trip():
 
 def test_coset_search_finds_every_rationally_empty_region_empty():
     # a one-node budget caps any search that reaches its first node, so an
-    # EMPTY answer here comes from the projections alone
+    # EMPTY answer here comes from the projection onto y_0 alone
     rng = random.Random(43)
     empties = 0
     for _ in range(300):
@@ -351,3 +352,53 @@ def test_rank_one_coset_is_decided_without_search_nodes():
     # an empty interval, and a zero column under a negative entry
     assert coset_orthant_search((-1, -1), [(1, -1)], one) == (EMPTY, None)
     assert coset_orthant_search((3, -1), [(-1, 0)], one) == (EMPTY, None)
+
+
+def test_coset_search_matches_a_box_scan_on_bounded_regions():
+    # rows B - y_j >= 0 and B + y_j >= 0 keep each region inside [-B, B]^r,
+    # so a scan of that box decides it; two random slabs k <= c . y <= k + w
+    # make the region thin, often with no integer point inside a rational one
+    rng = random.Random(47)
+    B = 3
+    found = empty = walked_dry = 0
+    for _ in range(200):
+        r = rng.randint(2, 3)
+        x0 = [B] * (2 * r)
+        rows = [tuple(s * (i == j) for j in range(r)) for i in range(r) for s in (-1, 1)]
+        for _ in range(2):
+            c = tuple(rng.randint(-4, 4) for _ in range(r))
+            k, w = rng.randint(-6, 6), rng.randint(0, 2)
+            x0 += [-k, k + w]
+            rows += [c, tuple(-v for v in c)]
+        cols = [tuple(row[j] for row in rows) for j in range(r)]
+
+        def point(y):
+            return tuple(a + sum(v * c[i] for v, c in zip(y, cols)) for i, a in enumerate(x0))
+
+        region = {point(y) for y in itertools.product(range(-B, B + 1), repeat=r)}
+        region = {p for p in region if min(p) >= 0}
+        status, got = coset_orthant_search(tuple(x0), cols, Budget())
+        if region:
+            assert status == FOUND and got in region
+            found += 1
+        else:
+            assert (status, got) == (EMPTY, None)
+            empty += 1
+            walked_dry += rational_shifted_cone_nonempty(tuple(x0), cols)
+    assert found >= 60 and empty >= 60 and walked_dry >= 40
+
+
+def test_one_search_runs_one_elimination_chain(monkeypatch):
+    calls = []
+    step = lattice._fm_eliminate
+
+    def spy(cons, *args):
+        calls.append(args)
+        return step(cons, *args)
+
+    monkeypatch.setattr(lattice, "_fm_eliminate", spy)
+    # the box [0, 2]^3 cut by y_0 + y_1 + y_2 >= 4: y_2 then y_1 go, once each
+    x0 = (0, 0, 0, 2, 2, 2, -4)
+    cols = [(1, 0, 0, -1, 0, 0, 1), (0, 1, 0, 0, -1, 0, 1), (0, 0, 1, 0, 0, -1, 1)]
+    assert coset_orthant_search(x0, cols, Budget()) == (FOUND, (0, 2, 2, 2, 0, 0, 0))
+    assert calls == [(2,), (1,)]

@@ -1,8 +1,9 @@
 """Source-level guarantees: no state that outlives one analysis, no cap or
 cache outside the analysis's budget, no parameter a body never reads, no
 fiber point that its reader can search for itself, no search in the group
-layers, no invariant check that `python -O` can strip, and no name the
-engine never calls outside the reference routes of `oracles.py`."""
+layers, no invariant check that `python -O` can strip, no name the engine
+never calls outside the reference routes of `oracles.py`, and no cap that
+the README does not name."""
 
 import ast
 import importlib.util
@@ -272,6 +273,23 @@ def test_every_benchmark_target_resolves(monkeypatch):
             missing.append(f"{module}:{path}")
     assert missing == []
     assert any(path.startswith("Analysis.") for _m, path, _n, _c in tracer.TARGETS)
+
+
+def test_every_cap_is_named_in_the_readme():
+    # a cap surfaces in reports by its name, so the README's "Caps" section
+    # must name each one the engine can raise
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Caps\n", 1)[1].split("\n## ", 1)[0]
+    names = {
+        node.args[0].value
+        for _name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "CappedComputationError"
+        and isinstance(node.args[0], ast.Constant)
+    }
+    assert len(names) >= 5
+    assert sorted(n for n in names if f"`{n}`" not in section) == []
 
 
 @pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.stem)
