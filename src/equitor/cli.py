@@ -128,14 +128,6 @@ def parse_char(text: str, length: int) -> Vec:
     return out
 
 
-def _json_safe(x):
-    if isinstance(x, dict):
-        return {str(k): _json_safe(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_safe(v) for v in x]
-    return x
-
-
 def analyze_report(an: Analysis) -> dict:
     v = an.verdict
     red = an.reduced
@@ -166,7 +158,7 @@ def analyze_report(an: Analysis) -> dict:
             "stable": red.sweep_stable,
             "group_certified": red.exact,
         },
-        "certificates": _json_safe(v.certificates),
+        "certificates": v.certificates,
         "oracle_agreement": {
             "null_fiber": v.oracle_agrees,
             "null_fiber_dimension": v.null_fiber[0],
@@ -273,7 +265,7 @@ def run(command: str, doc, flags) -> dict:
             report.update(
                 {
                     "equidimensional": v.equidimensional,
-                    "certificates": _json_safe(v.certificates),
+                    "certificates": v.certificates,
                     "oracle_agrees": v.oracle_agrees,
                 }
             )

@@ -89,30 +89,15 @@ class Verdict:
     oracle_agrees: bool
 
 
-def prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def t_factorization(t: int, reflection_order: int) -> tuple[int, int]:
     """Split t into the part prime to the reflection restriction and the part
     supported on its primes."""
     if t < 1 or reflection_order < 1:
         raise InputError("factorization needs positive inputs")
     refl = 1
-    for p in prime_factors(reflection_order):
-        while t % p == 0:
-            t //= p
-            refl *= p
+    while (g := gcd(t, reflection_order)) > 1:
+        t //= g
+        refl *= g
     return t, refl
 
 
@@ -260,9 +245,16 @@ class Analysis:
         coprime, refl_part = t_factorization(t, refl_order)
         if gcd(coprime, refl_order) != 1:
             raise InvariantViolationError("factorization leaves a common prime")
-        # the stabilized torsion part: the largest subgroup of the reflection
-        # group whose restriction is supported on the primes of refl_part
-        F = self._primary_part(refl_part, self.reflection)
+        # F, the largest subgroup of the reflection group whose restriction
+        # order divides a power of refl_part, has annihilator the limit of
+        # refl_part^k·B_L + B_R, with B_L ⊇ B_R the annihilators of the kernel
+        # and of the reflection group.  Q = B_L/B_R, the character group of
+        # the restriction, has order refl_order.  `power`, the part of
+        # refl_order on the primes of refl_part, kills the refl_part-primary
+        # part of Q and is prime to the order of the rest, on which it acts
+        # invertibly; so power·Q = refl_part^k·Q for every large k.
+        power = t_factorization(refl_order, refl_part)[1]
+        F = SubgroupOfG(self.kernel.annihilator.scale(power).sum(self.reflection.annihilator))
         H = tor_subgroup(coprime, self.kernel).join(tor_subgroup(refl_part, F))
         ctx_h = self.context_for(H)
         obs = pseudo_reflection_group(ctx_h.action, ctx_h.obstructing_facets(), ctx_h.kernel)
@@ -278,21 +270,6 @@ class Analysis:
             obstruction=obs,
             restriction=restr,
         )
-
-    def _primary_part(self, m: int, subgroup: SubgroupOfG) -> SubgroupOfG:
-        """Elements of the subgroup whose restriction order divides a power
-        of m: the stabilized value of tor(m^k, G, kernel) ∩ subgroup."""
-        BL = self.kernel.annihilator
-        BH = subgroup.annihilator
-        prev = None
-        power = m
-        for _ in range(64):
-            cur = BL.scale(power).sum(BH)
-            if cur == prev:
-                return SubgroupOfG(prev)
-            prev = cur
-            power *= m
-        raise InvariantViolationError(f"{m}-primary part did not stabilise in 64 steps")
 
     # -- cofreeness ----------------------------------------------------------
 

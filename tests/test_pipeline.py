@@ -1,12 +1,13 @@
 import json
 import random
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 import equitor.oracles
 from equitor.cli import parse_input
-from equitor.errors import CappedComputationError, InputError, InvariantViolationError
+from equitor.errors import CappedComputationError, InputError
 from equitor.oracles import (
     INCONCLUSIVE,
     YES,
@@ -29,7 +30,6 @@ from equitor.subgroups import (
     quotient_action,
     restriction_data,
     tor_subgroup,
-    whole_group,
 )
 from conftest import (
     action_5_7,
@@ -46,6 +46,19 @@ def scaling_nonequidim_action():
     )
 
 
+def _primes(n):
+    """The prime divisors of n, by trial division."""
+    out, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
 def test_t_factorization():
     assert t_factorization(3, 1) == (3, 1)
     assert t_factorization(12, 2) == (3, 4)
@@ -53,6 +66,13 @@ def test_t_factorization():
     assert t_factorization(18, 6) == (1, 18)
     with pytest.raises(InputError):
         t_factorization(0, 1)
+    for R in range(1, 301):
+        primes = _primes(R)
+        for t in range(1, 301):
+            coprime, refl = t_factorization(t, R)
+            assert coprime * refl == t
+            assert gcd(coprime, R) == 1
+            assert _primes(refl) <= primes
 
 
 def test_stability_reduce():
@@ -226,6 +246,46 @@ def test_corpus_210_obstruction_values():
     assert 3**8 % obs.restriction.order != 0
 
 
+def test_reflection_part_fixture_values():
+    # the first input with t_reflection > 1: the obstruction is built from
+    # the 3-primary part of the Z/3 reflection restriction
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "reflection_part.json"
+    an = Analysis(parse_input(json.loads(fixture.read_text()))[0])
+    v = an.verdict
+    obs = an.obstruction
+    assert (v.stable, v.equidimensional, v.cofree) == (True, "yes", "no")
+    assert (obs.exponent, obs.coprime_part, obs.reflection_part) == (3, 1, 3)
+    assert an.reflection_restriction.invariant_factors == (3,)
+    assert obs.restriction.invariant_factors == (9,)
+    assert an.reduced.divisor_side_factors == an.reduced.module_side_factors == (3,)
+    assert obs.obstruction.annihilator.lattice.basis == ((9,),)
+
+
+def test_torsion_obstruction_with_a_reflection_part():
+    # t_reflection = 2 over a Z/6 reflection restriction; only the
+    # obstruction is pinned, since the analysis of X//Obs caps on depth
+    an = Analysis(WeightedAction(4, 1, (2,), ((-2, 1), (0, 1), (3, 1), (0, 0)), ()))
+    obs = an.obstruction
+    assert an.reflection_restriction.invariant_factors == (6,)
+    assert (obs.exponent, obs.coprime_part, obs.reflection_part) == (2, 1, 2)
+    assert obs.obstruction.annihilator.lattice.basis == ((12, 0), (0, 2))
+    assert obs.restriction.invariant_factors == (12,)
+
+
+def test_obstruction_takes_the_whole_primary_part():
+    # t_reflection = 2 over a Z/4 reflection restriction: the 2-primary part
+    # of the reflection group is all of it, which 2·B_L + B_R does not reach
+    # (with that, X//Obs is not cofree and the verdict turns against the oracle)
+    an = Analysis(WeightedAction(3, 1, (), ((0,), (1,), (-2,)), (((-2, 1, 1), 4),)))
+    v = an.verdict
+    obs = an.obstruction
+    assert (v.equidimensional, v.cofree, v.oracle_agrees) == ("yes", "no", True)
+    assert an.reflection_restriction.invariant_factors == (4,)
+    assert (obs.exponent, obs.coprime_part, obs.reflection_part) == (2, 1, 2)
+    assert obs.obstruction.annihilator.lattice.basis == ((8,),)
+    assert obs.restriction.invariant_factors == (8,)
+
+
 @pytest.mark.parametrize(
     "fixture", sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json")),
     ids=lambda p: p.stem,
@@ -317,9 +377,3 @@ def test_orthant_378_decides():
     assert an.reduced.divisor_side_factors == an.reduced.module_side_factors == ()
     assert v.oracle_agrees
 
-
-def test_primary_part_raises_when_it_does_not_stabilise():
-    an = Analysis(action_5_7())
-    # the whole torus restricts to an infinite group: 2^k B_L never stabilises
-    with pytest.raises(InvariantViolationError):
-        an._primary_part(2, whole_group(an.action))

@@ -133,7 +133,7 @@ def test_the_sweeps_search_only_the_signed_basis_characters(fixture):
     assert not [key for key, _ in calls if key[3]]
 
 
-# the four fixtures, `orthant` #295 (two basis characters) and corpus #6,
+# every fixture, `orthant` #295 (two basis characters) and corpus #6,
 # whose wide sweep runs
 REPEAT_CASES = [("fixture", p) for p in FIXTURES] + [("orthant", 295), ("corpus", 6)]
 
