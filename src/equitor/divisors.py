@@ -20,7 +20,7 @@ from .errors import (
     InputError,
     InvariantViolationError,
 )
-from .lattice import QuotientGroup, Sublattice, ceil_frac, matrix_rank
+from .lattice import QuotientGroup, Sublattice, ceil_frac
 from .semigroup import (
     AffineSemigroup,
     Budget,
@@ -72,6 +72,12 @@ class FacetClassification:
 def classify_facets(S_X: AffineSemigroup, S_G: AffineSemigroup) -> FacetClassification:
     """Tier every facet of S_X by the height of its contraction to K[S_G].
 
+    v_P >= 0 on cone(S_G), so P cuts out a face of cone(S_G) whose
+    codimension is the height of P's contraction.  Faces compare as their
+    zero sets over HB(S_G) do (`_facets_from_basis`), so P's zero set among
+    HB(S_G) decides: all of it is height zero, an invariant facet q's zero
+    set puts P over q, and any other zero set makes P deep.
+
     A facet P of height zero has v_P = 0 on all of S_G, and none exists
     exactly when the action is stable.  If it is, each Hilbert-basis
     element h has some h' in S of weight -wt(h), and the invariant sum of
@@ -81,30 +87,29 @@ def classify_facets(S_X: AffineSemigroup, S_G: AffineSemigroup) -> FacetClassifi
     >= 0, so in S (S is saturated), and has weight -wt(h).  So a
     height-zero facet raises: the action is not stable.
 
+    For P over q, v_P and the primitive v_q vanish on the same facet of
+    cone(S_G), so v_P = e * v_q on ZS_G with e > 0 the gcd of v_P over a
+    basis of ZS_G; a valuation that breaks this raises.
+
     On any action, every invariant facet q has a facet of S_X over it.
     cone(S_G) is cone(S_X) cut by the rational kernel of the weights (a
     multiple of a rational point of that cut lies in S with weight 0), so q
     lies on the hyperplane v_P = 0 of some facet P of S_X.  The
-    Hilbert-basis elements of S_G with v_P = 0 are then those on q, which
-    span rank S_G - 1, so P lies over q.  An empty fiber raises.
+    Hilbert-basis elements of S_G with v_P = 0 are then those on q, so P
+    lies over q.  An empty fiber raises.
     """
     hbg = S_G.hilbert_basis
+    facet_of = {q.zero_set: q for q in S_G.facets}
     infos = []
     fibers: list[list[int]] = [[] for _ in S_G.facets]
     ht2plus = []
     for P in S_X.facets:
-        vals = [P.value(h) for h in hbg]
-        zero_idx = frozenset(i for i, v in enumerate(vals) if v == 0)
-        zero_rank = matrix_rank([hbg[i] for i in zero_idx])
-        if zero_rank == S_G.rank:
+        zero_idx = frozenset(i for i, h in enumerate(hbg) if P.value(h) == 0)
+        if len(zero_idx) == len(hbg):
             raise InvariantViolationError("the action is not stable")
-        if zero_rank == S_G.rank - 1:
-            q = next((q for q in S_G.facets if q.zero_set == zero_idx), None)
-            if q is None:
-                raise InvariantViolationError("corank-one face does not match a facet")
-            e = 0
-            for col in S_G.lattice.basis:
-                e = gcd(e, P.value(col))
+        q = facet_of.get(zero_idx)
+        if q is not None:
+            e = gcd(*(P.value(col) for col in S_G.lattice.basis))
             if e <= 0:
                 raise InvariantViolationError("facet valuation vanishes on the invariant lattice")
             if any(P.value(h) != e * q.value(h) for h in hbg):

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
 
 from .divisors import DivisorContext
 from .errors import InvariantViolationError
@@ -153,8 +152,6 @@ def reduced_class_groups(
     swept = sweep_points(act, basis, sweep_bound, signed)
     div_cols: dict[Vec, Vec] = {}  # swept character -> its divisor's coefficients
     mod_cols: list[Vec] = []
-    div_orders: list[int | None] = []
-    mod_orders: list[int | None] = []
     infinite = None
     for chi, a in sorted(swept.items()):
         if chi == act.zero_char:
@@ -171,15 +168,14 @@ def reduced_class_groups(
             )
         if infinite is None and (d_ord is None or m_ord is None):
             infinite = chi
-        div_orders.append(d_ord)
-        mod_orders.append(m_ord)
         div_cols[chi] = D.coeffs
         mod_cols.append(M.coeffs)
 
     div_factors = quotient_structure(list(div_cols.values()), ctx.cl_R.presentation)
     mod_factors = quotient_structure(mod_cols, ctx.cl_RG.presentation)
-    div_exp = _exponent_from_orders(div_orders)
-    mod_exp = _exponent_from_orders(mod_orders)
+    # the exponent of a generated group is the lcm of its generators' orders:
+    # its largest invariant factor, or infinite when a factor is 0
+    div_exp, mod_exp = (None if 0 in f else max(f, default=1) for f in (div_factors, mod_factors))
     if div_exp is not None and mod_exp is not None and div_exp != mod_exp:
         raise InvariantViolationError("finite exponents of the two sides disagree")
 
@@ -210,15 +206,6 @@ def reduced_class_groups(
         exact=exact,
         infinite_order_character=infinite,
     )
-
-
-def _exponent_from_orders(orders: list[int | None]) -> int | None:
-    out = 1
-    for o in orders:
-        if o is None:
-            return None
-        out = lcm(out, o)
-    return out
 
 
 def _envelope_certificate(

@@ -48,7 +48,6 @@ from .lattice import (
     EMPTY,
     FOUND,
     coset_orthant_search,
-    matrix_rank,
     solve_diophantine,
 )
 
@@ -374,33 +373,30 @@ def build_semigroup(action: WeightedAction, budget: Budget) -> AffineSemigroup:
         n = action.ambient_dim
         hb = hilbert_basis(action.congruences, n, budget)
         lattice = Sublattice.from_columns(list(hb), n)
-        rank = lattice.rank
-        facets = _facets_from_basis(hb, lattice, rank, n)
-        S = budget.semigroups[key] = AffineSemigroup(n, hb, lattice, facets, rank)
+        facets = _facets_from_basis(hb, lattice, n)
+        S = budget.semigroups[key] = AffineSemigroup(n, hb, lattice, facets, lattice.rank)
     return S
 
 
-def _facets_from_basis(
-    hb: tuple[Vec, ...], lattice: Sublattice, rank: int, n: int
-) -> tuple[FacetPrime, ...]:
-    # cone(S) = orthant ∩ span(S), so every facet lies in a coordinate hyperplane
-    facet_map: dict[frozenset[int], int] = {}
-    order: list[tuple[int, frozenset[int]]] = []
+def _facets_from_basis(hb: tuple[Vec, ...], lattice: Sublattice, n: int) -> tuple[FacetPrime, ...]:
+    """The facets of cone(S), each with the first coordinate that cuts it out.
+
+    cone(S) = orthant ∩ span(S), so each coordinate cuts out the face
+    {a_coord = 0} of the cone, and every facet is one of these faces.  A
+    face is the cone over the Hilbert-basis elements on it, so faces
+    compare as their zero sets over the Hilbert basis do, and every proper
+    face lies inside a facet.  So the facets are the proper zero sets that
+    no other proper zero set strictly contains.
+    """
+    first: dict[frozenset[int], int] = {}
     for coord in range(n):
         zs = frozenset(i for i, h in enumerate(hb) if h[coord] == 0)
-        if len(zs) == len(hb):
-            continue  # coordinate vanishes on all of S: not a supporting facet
-        if matrix_rank([hb[i] for i in zs]) != rank - 1:
-            continue
-        if zs not in facet_map:
-            facet_map[zs] = coord
-            order.append((coord, zs))
+        if len(zs) < len(hb):  # a coordinate vanishing on all of S cuts out no proper face
+            first.setdefault(zs, coord)
+    order = [(coord, zs) for zs, coord in first.items() if not any(zs < other for other in first)]
     facets = []
-    for idx, (coord, zs) in enumerate(sorted(order)):
-        vals = [col[coord] for col in lattice.basis]
-        scale = 0
-        for v in vals:
-            scale = gcd(scale, v)
+    for idx, (coord, zs) in enumerate(order):
+        scale = gcd(*(col[coord] for col in lattice.basis))
         if scale <= 0:
             raise InvariantViolationError("facet coordinate vanishes on the lattice")
         facets.append(

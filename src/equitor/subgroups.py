@@ -175,15 +175,11 @@ def tor_subgroup(m: int, H: SubgroupOfG) -> SubgroupOfG:
 def restriction_data(H: SubgroupOfG, L: SubgroupOfG) -> FiniteAbelianData | None:
     """Structure of the restriction H|_X = H/(H ∩ L); None when infinite.
 
-    Computed dually as B_L / (B_L ∩ B_H).
+    Dually it is B_L / (B_L ∩ B_H), which by the second isomorphism theorem
+    is (B_L + B_H) / B_H: the subgroup of A / B_H that B_L generates.
     """
-    BL = L.annihilator.lattice
-    BH = H.annihilator.lattice
-    inner = BL.intersect(BH)
-    factors = quotient_structure(list(BL.basis), inner)
-    if any(d == 0 for d in factors):
-        return None
-    return FiniteAbelianData(factors)
+    factors = quotient_structure(list(L.annihilator.lattice.basis), H.annihilator.lattice)
+    return None if 0 in factors else FiniteAbelianData(factors)
 
 
 def quotient_action(action: WeightedAction, H: SubgroupOfG) -> WeightedAction:

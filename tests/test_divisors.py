@@ -61,11 +61,15 @@ def small_actions(draw):
 @given(small_actions())
 @example(scaling_action())
 @example(WeightedAction(2, 1, (), ((1,), (1,))))
+@example(WeightedAction(3, 2, (), ((1, 2), (2, -1), (-2, -2)), (((1, -1, -1), 3),)))
 def test_a_context_builds_exactly_on_a_stable_action(act):
-    S = build_semigroup(act, Budget())
+    # only the candidate cap bounds the work: the last example is stable,
+    # and its invariant semigroup needs norm 68, past the default depth cap
+    budget = Budget(max_norm=10**6)
+    S = build_semigroup(act, budget)
     stable = is_stable(S, act, weight_unit_lattice(S.hilbert_basis, act))
     try:
-        ctx_of(act)
+        DivisorContext(act, budget)
     except InvariantViolationError as e:
         assert not stable and str(e) == "the action is not stable"
     else:

@@ -17,7 +17,8 @@ from equitor.semigroup import (
     hilbert_basis,
 )
 from equitor.oracles import paired_unit_lattice
-from equitor.subgroups import SubgroupOfA, weight_unit_lattice
+from equitor.subgroups import SubgroupOfA, invariant_action, weight_unit_lattice
+from corpus import random_action
 from conftest import (
     action_5_7,
     action_5_8,
@@ -128,6 +129,31 @@ def test_facet_normal_properties(fx57, fx58):
             assert any(v == 0 for v in vals)
             zero = [h for h, v in zip(S.hilbert_basis, vals) if v == 0]
             assert matrix_rank(zero) == S.rank - 1
+
+
+def test_facets_are_the_corank_one_zero_sets():
+    # the engine keeps the maximal proper zero sets over the Hilbert basis;
+    # the rank rule keeps the proper zero sets of rank S - 1
+    rng = random.Random(25)
+    facets_seen = 0
+    for _ in range(300):
+        act = random_action(rng)
+        for a in (act, invariant_action(act)):
+            try:
+                S = build_semigroup(a, Budget())
+            except CappedComputationError:
+                continue
+            hb = S.hilbert_basis
+            by_rank = {}
+            for coord in range(S.ambient_dim):
+                zs = frozenset(i for i, h in enumerate(hb) if h[coord] == 0)
+                if len(zs) < len(hb) and matrix_rank([hb[i] for i in zs]) == S.rank - 1:
+                    by_rank.setdefault(zs, coord)
+            assert [(P.coord, P.zero_set) for P in S.facets] == [
+                (coord, zs) for zs, coord in by_rank.items()
+            ]
+            facets_seen += len(S.facets)
+    assert facets_seen > 1000
 
 
 def test_saturation_property(fx57, fx58):

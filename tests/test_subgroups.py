@@ -2,7 +2,7 @@ import itertools
 import random
 
 from equitor.divisors import DivisorContext
-from equitor.lattice import Sublattice
+from equitor.lattice import Sublattice, quotient_structure
 from equitor.oracles import restrict_action_to_subgroup
 from equitor.semigroup import Budget, WeightedAction, build_semigroup
 from equitor.subgroups import (
@@ -210,6 +210,24 @@ def test_restriction_data_examples():
     assert data.invariant_factors == (3, 3)
     # the whole torus has infinite restriction
     assert restriction_data(whole_group(act), L) is None
+
+
+def test_restriction_data_matches_the_intersection_quotient():
+    # the engine reads (B_L + B_H) / B_H; the definition is B_L / (B_L ∩ B_H)
+    rng = random.Random(25)
+    act = rank2_plus_torsion_action()
+    seen = {"infinite": 0, "nontrivial": 0}
+    for _ in range(200):
+        BH, BL = random_subgroup(act, rng), random_subgroup(act, rng)
+        want = quotient_structure(list(BL.lattice.basis), BL.lattice.intersect(BH.lattice))
+        got = restriction_data(SubgroupOfG(BH), SubgroupOfG(BL))
+        if 0 in want:
+            assert got is None
+            seen["infinite"] += 1
+        else:
+            assert got.invariant_factors == want
+            seen["nontrivial"] += bool(want)
+    assert min(seen.values()) >= 20
 
 
 def test_quotient_action_trivial_and_full(fx57):

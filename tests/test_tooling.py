@@ -243,6 +243,20 @@ def test_every_name_has_an_engine_caller():
     assert [e for e in uncalled if e.rsplit(":", 1)[1] not in named] == []
 
 
+def test_facets_are_recognised_without_a_rank():
+    # a facet, and the height of its contraction, is read off its zero set
+    # over a Hilbert basis (`_facets_from_basis`, `classify_facets`)
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        if name in ("semigroup.py", "divisors.py")
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.alias) and node.name == "matrix_rank")
+        or (isinstance(node, ast.Name) and node.id == "matrix_rank")
+    ]
+    assert found == []
+
+
 def test_only_the_pipeline_and_cli_import_the_oracles():
     # reference routes may read engine results, never the other way round
     found = [
