@@ -445,11 +445,11 @@ def _fm_eliminate(cons: set[tuple[Vec, int]], var: int) -> set[tuple[Vec, int]]:
 def rational_shifted_cone_nonempty(x0: Vec, cols: list[Vec]) -> bool:
     """Is {y rational : x0 + cols*y >= 0 componentwise} nonempty?
 
-    Eliminating every variable leaves only constant rows.
-    `weight_unit_lattice` decides each unit weight with it (a Farkas test),
-    for the semigroup and for each deep face behind the qualified
-    characters, and it is the reference route for the emptiness that
-    `coset_orthant_search` reads off its projection onto y_0."""
+    Eliminating every variable leaves only constant rows.  The engine
+    never calls it: it is the Farkas test of the reference route
+    `oracles.weight_unit_lattice`, and the reference route for the
+    emptiness that `coset_orthant_search` reads off its projection onto
+    y_0."""
     cons = _cone_constraints(x0, cols)
     for var in range(len(cols)):
         cons = _fm_eliminate(cons, var)

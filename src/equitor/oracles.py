@@ -5,8 +5,9 @@ Brute-force ground truth, deliberately naive and independent of the
 divisor-theoretic path: null-fiber dimension by face enumeration, bounded
 module freeness by listing one weight fiber up to a degree cap, divisor
 class orders by direct diophantine solves, and unit weights by the Hilbert
-basis of a paired system.  The pipeline runs the first two beside every
-verdict; they run no capped search and read no budget.
+basis of a paired system or by a Farkas test per weight.  The pipeline
+runs the first two beside every verdict; they run no capped search and
+read no budget.
 
 Consistency records on one analysis, which the engine never runs: the main
 theorem's equivalent conditions, each evaluated on its own; the corollary
@@ -26,7 +27,13 @@ from typing import TYPE_CHECKING
 
 from .divisors import DivisorContext
 from .errors import CappedComputationError, InputError, InvariantViolationError
-from .lattice import IntMatrix, QuotientGroup, matrix_rank, solve_diophantine
+from .lattice import (
+    IntMatrix,
+    QuotientGroup,
+    matrix_rank,
+    rational_shifted_cone_nonempty,
+    solve_diophantine,
+)
 from .reduced import QualifiedLattice, signed_points, sweep_points
 from .semigroup import (
     AffineSemigroup,
@@ -150,7 +157,7 @@ def brute_force_class_order(
 def paired_unit_lattice(action: WeightedAction, budget: Budget) -> SubgroupOfA:
     """Unit-weight subgroup from the paired system {(a,b): wt(a) + wt(b) = 0}:
     the weights of the first halves of its Hilbert basis generate the units.
-    Reference route for `weight_unit_lattice`."""
+    Reference route for `subgroups.unit_weights` and `weight_unit_lattice`."""
     n = action.ambient_dim
     congs = []
     for coeffs, m in action.congruences:
@@ -160,6 +167,38 @@ def paired_unit_lattice(action: WeightedAction, budget: Budget) -> SubgroupOfA:
         congs.append((tuple(coeffs) + tuple(coeffs), m))
     pairs = hilbert_basis(tuple(congs), 2 * n, budget)
     return SubgroupOfA.generated_by(action, [action.raw_weight(p[:n]) for p in pairs])
+
+
+def weight_unit_lattice(generators: tuple[Vec, ...], action: WeightedAction) -> SubgroupOfA:
+    """Characters realized with both signs by the monoid that `generators`
+    generate: the Hilbert basis of S, or the face generators of a facet.
+    Reference route for `subgroups.unit_weights`, with no invariant
+    semigroup.
+
+    The units of a monoid generated by h_1..h_m form the group generated by
+    the unit wt(h_j), and whether wt(h_j) is a unit is a rational question
+    on the free parts f_i of the raw weights (torsion dropped): wt(h_j) is
+    a unit iff -f_j lies in cone(f_1..f_m).  (=>) An element of weight
+    -wt(h_j) is a nonnegative combination of the h_i.  (<=) From
+    N*(-f_j) = sum mu_i f_i with integers mu_i >= 0, and e the lcm of the
+    torsion moduli, M = N*e, the element sum e*mu_i*h_i + (M-1)*h_j has
+    weight exactly -wt(h_j).  Both directions use only nonnegative integer
+    combinations of the generators, so they hold for any generating set.
+    By Farkas' lemma the cone test is the emptiness of {y : y . f_i >= 0
+    for all i, y . f_j >= 1}, which one Fourier-Motzkin pass decides.
+    """
+    r = action.free_rank
+    free_parts = {action.weight_of(h): action.raw_weight(h)[:r] for h in generators}
+    # the rows y . f >= 0 for every free part f, then the row y . f_j - 1 >= 0
+    cols = [tuple(f[k] for f in free_parts.values()) for k in range(r)]
+    x0 = (0,) * len(free_parts) + (-1,)
+    units = [
+        w
+        for w, f in free_parts.items()
+        if w != action.zero_char
+        and not rational_shifted_cone_nonempty(x0, [c + (fk,) for c, fk in zip(cols, f)])
+    ]
+    return SubgroupOfA.generated_by(action, units)
 
 
 def restrict_action_to_subgroup(action: WeightedAction, H: SubgroupOfG) -> WeightedAction:

@@ -32,6 +32,7 @@ from .reduced import (
     reduced_class_groups,
 )
 from .semigroup import (
+    AffineSemigroup,
     Budget,
     Vec,
     WeightedAction,
@@ -41,13 +42,14 @@ from .subgroups import (
     FiniteAbelianData,
     SubgroupOfA,
     SubgroupOfG,
+    invariant_action,
     is_stable,
     perp,
     pseudo_reflection_group,
     quotient_action,
     restriction_data,
     tor_subgroup,
-    weight_unit_lattice,
+    unit_weights,
 )
 
 UNKNOWN = "unknown-capped"
@@ -152,34 +154,37 @@ class Analysis:
     def finite_reduction_applied(self) -> bool:
         return self.connected_action is not self.input_action
 
+    def _semigroups(self, act: WeightedAction) -> tuple[AffineSemigroup, AffineSemigroup]:
+        """S and S_G of an action, from the budget's memo table."""
+        return build_semigroup(act, self.budget), build_semigroup(invariant_action(act), self.budget)
+
     @cached_property
     def input_units(self) -> SubgroupOfA:
         """The unit weights of the connected action."""
         act = self.connected_action
-        return weight_unit_lattice(build_semigroup(act, self.budget).hilbert_basis, act)
+        S, S_G = self._semigroups(act)
+        return unit_weights(S.hilbert_basis, S_G.hilbert_basis, act)
 
     @cached_property
     def input_stable(self) -> bool:
-        act = self.connected_action
-        return is_stable(build_semigroup(act, self.budget), act, self.input_units)
-
-    @cached_property
-    def _stabilized(self) -> tuple[WeightedAction, SubgroupOfA]:
-        """The stabilized action with its unit weights, each computed once."""
-        act = self.connected_action
-        if self.input_stable:
-            return act, self.input_units
-        reduced = quotient_action(act, perp(self.input_units))
-        S2 = build_semigroup(reduced, self.budget)
-        units = weight_unit_lattice(S2.hilbert_basis, reduced)
-        if not is_stable(S2, reduced, units):
-            raise InvariantViolationError("stability reduction did not stabilize")
-        return reduced, units
+        return is_stable(*self._semigroups(self.connected_action))
 
     @cached_property
     def action(self) -> WeightedAction:
-        """The stabilized, effectively connected action all verdicts refer to."""
-        return self._stabilized[0]
+        """The stabilized, effectively connected action all verdicts refer to.
+
+        Quotienting by perp(U), U the input's unit weights, keeps the part
+        S' of S with weights in U.  A unit-weight h in HB(S) and any h' in S
+        of weight -wt(h) lie in S', so U, which such wt(h) generate, is the
+        unit group of S' (`units`) and holds every weight of S': S' is stable.
+        """
+        act = self.connected_action
+        if self.input_stable:
+            return act
+        reduced = quotient_action(act, perp(self.input_units))
+        if not is_stable(*self._semigroups(reduced)):
+            raise InvariantViolationError("stability reduction did not stabilize")
+        return reduced
 
     @cached_property
     def ctx(self) -> DivisorContext:
@@ -196,7 +201,8 @@ class Analysis:
 
     @property
     def units(self) -> SubgroupOfA:
-        return self._stabilized[1]
+        """The unit weights of the stabilized action: the input's (`action`)."""
+        return self.input_units
 
     @property
     def kernel(self) -> SubgroupOfG:

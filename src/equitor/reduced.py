@@ -35,7 +35,7 @@ from .divisors import DivisorContext
 from .errors import InvariantViolationError
 from .lattice import Sublattice, quotient_structure
 from .semigroup import Vec
-from .subgroups import SubgroupOfA, SubgroupOfG, weight_unit_lattice
+from .subgroups import SubgroupOfA, SubgroupOfG, unit_weights
 
 
 @dataclass(frozen=True)
@@ -63,21 +63,21 @@ def qualified_lattice(
     Q = base ∩ ⋂_P U(wt(S_P)) over the deep facets P.  The face semigroup
     S_P = S ∩ {a_coord = 0} is generated by the Hilbert-basis elements
     inside it, `P.face_generators`, since a sum of elements of S has
-    coordinate 0 only when each summand has.  The weight-chi fiber meets
-    the face exactly when chi is a weight of S_P, so both signed fibers
-    meet it exactly when chi is a unit of wt(S_P).  For any generating set, an
-    element of wt(S_P) ∩ -wt(S_P) is a sum of unit generators, so
-    U(wt(S_P)) is `weight_unit_lattice` of the face generators, whose
-    Farkas proof uses only nonnegative integer combinations of them.  No
-    fiber is searched and no budget is read.
+    coordinate 0 only when each summand has, and its invariants by the
+    elements of HB(S_G) with g[coord] = 0.  The weight-chi fiber meets the
+    face exactly when chi is a weight of S_P, so both signed fibers meet it
+    exactly when chi is a unit of wt(S_P): U(wt(S_P)) is `unit_weights` of
+    the face generators over those invariants.  No fiber is searched and
+    no budget is read.
     """
     base = units.intersect(reflection.annihilator)
     if ctx.cls.no_blowing_up:
         return QualifiedLattice(base, base)
     act = ctx.action
     closed = base
-    for pi in ctx.cls.ht2plus:
-        closed = closed.intersect(weight_unit_lattice(ctx.S.facets[pi].face_generators, act))
+    for P in (ctx.S.facets[pi] for pi in ctx.cls.ht2plus):
+        invariants = tuple(g for g in ctx.S_G.hilbert_basis if g[P.coord] == 0)
+        closed = closed.intersect(unit_weights(P.face_generators, invariants, act))
     swept = sweep_chars(act, base.generators(), sweep_bound)
     gens = [chi for chi in swept if closed.lattice.contains(chi)]
     return QualifiedLattice(SubgroupOfA.generated_by(act, gens), closed)

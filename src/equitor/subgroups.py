@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .lattice import QuotientGroup, Sublattice, quotient_structure, rational_shifted_cone_nonempty
+from .lattice import QuotientGroup, Sublattice, quotient_structure
 from .semigroup import AffineSemigroup, FacetPrime, Vec, WeightedAction
 
 
@@ -135,34 +135,27 @@ def inertia_subgroup(action: WeightedAction, P: FacetPrime) -> SubgroupOfG:
     return SubgroupOfG(SubgroupOfA.generated_by(action, gens))
 
 
-def weight_unit_lattice(generators: tuple[Vec, ...], action: WeightedAction) -> SubgroupOfA:
-    """Characters realized with both signs by the monoid that `generators`
-    generate: the Hilbert basis of S, or the face generators of a facet.
+def _support(vectors) -> set[int]:
+    """The coordinates on which some vector is nonzero."""
+    return {i for v in vectors for i, x in enumerate(v) if x}
 
-    The units of a monoid generated by h_1..h_m form the group generated by
-    the unit wt(h_j), and whether wt(h_j) is a unit is a rational question
-    on the free parts f_i of the raw weights (torsion dropped): wt(h_j) is
-    a unit iff -f_j lies in cone(f_1..f_m).  (=>) An element of weight
-    -wt(h_j) is a nonnegative combination of the h_i.  (<=) From
-    N*(-f_j) = sum mu_i f_i with integers mu_i >= 0, and e the lcm of the
-    torsion moduli, M = N*e, the element sum e*mu_i*h_i + (M-1)*h_j has
-    weight exactly -wt(h_j).  Both directions use only nonnegative integer
-    combinations of the generators, so they hold for any generating set.
-    By Farkas' lemma the cone test is the emptiness of {y : y . f_i >= 0
-    for all i, y . f_j >= 1}, which one Fourier-Motzkin pass decides.
+
+def unit_weights(
+    generators: tuple[Vec, ...], invariants: tuple[Vec, ...], action: WeightedAction
+) -> SubgroupOfA:
+    """Characters realized with both signs by S = N^n ∩ L, whose Hilbert
+    basis is `generators` and that of its weight-zero part S_G `invariants`;
+    or by a face S ∩ {a_c = 0}, given the elements of both inside it.
+
+    The units of a monoid are generated by its unit generators, and wt(h)
+    is a unit exactly when supp(h) lies in the union U of the supports of
+    `invariants`.  (<=) With g their sum, m*g - h lies in L and is >= 0 for
+    m large, so it lies in S with weight -wt(h).  (=>) If h' in S has
+    weight -wt(h), h + h' is a sum of invariant generators: supp(h) ⊆ U.
     """
-    r = action.free_rank
-    free_parts = {action.weight_of(h): action.raw_weight(h)[:r] for h in generators}
-    # the rows y . f >= 0 for every free part f, then the row y . f_j - 1 >= 0
-    cols = [tuple(f[k] for f in free_parts.values()) for k in range(r)]
-    x0 = (0,) * len(free_parts) + (-1,)
-    units = [
-        w
-        for w, f in free_parts.items()
-        if w != action.zero_char
-        and not rational_shifted_cone_nonempty(x0, [c + (fk,) for c, fk in zip(cols, f)])
-    ]
-    return SubgroupOfA.generated_by(action, units)
+    covered = _support(invariants)
+    units = [action.weight_of(h) for h in generators if _support([h]) <= covered]
+    return SubgroupOfA.generated_by(action, list(dict.fromkeys(units)))
 
 
 def tor_subgroup(m: int, H: SubgroupOfG) -> SubgroupOfG:
@@ -221,10 +214,10 @@ def invariant_action(action: WeightedAction) -> WeightedAction:
     return quotient_action(action, whole_group(action))
 
 
-def is_stable(S: AffineSemigroup, action: WeightedAction, units: SubgroupOfA) -> bool:
-    """Is every Hilbert-basis weight a unit?  `units` is the action's unit
-    weight group, `weight_unit_lattice(S.hilbert_basis, action)`."""
-    return all(units.lattice.contains(action.raw_weight(h)) for h in S.hilbert_basis)
+def is_stable(S: AffineSemigroup, S_G: AffineSemigroup) -> bool:
+    """Is every Hilbert-basis weight a unit?  By `unit_weights`, exactly when
+    the supports over HB(S) lie inside their union over HB(S_G)."""
+    return _support(S.hilbert_basis) <= _support(S_G.hilbert_basis)
 
 
 def pseudo_reflection_group(

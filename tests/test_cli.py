@@ -275,11 +275,14 @@ def test_main_in_process(tmp_path, capsys):
     assert rep["reductions"]["stability_quotient"] is True
 
 
-def test_fourier_motzkin_cap_exits_3(monkeypatch, capsys):
+def test_fourier_motzkin_cap_exits_3(monkeypatch, capsys, tmp_path):
     import equitor.lattice
 
+    # orthant pool #32: its coset search eliminates
+    doc = tmp_path / "orthant_32.json"
+    doc.write_text(json.dumps({"ambient_dim": 4, "torus_rank": 1, "weights": [[3], [3], [-3], [-2]]}))
     monkeypatch.setattr(equitor.lattice, "FM_MAX_ROWS", 0)
-    assert main(["analyze", str(FIXTURES / "example_5_7.json")]) == 3
+    assert main(["analyze", str(doc)]) == 3
     assert "Fourier-Motzkin" in capsys.readouterr().err
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from equitor.cli import parse_input
 from equitor.divisors import DivisorContext
-from equitor.oracles import paired_unit_lattice, t_consistency_check
+from equitor.oracles import paired_unit_lattice, t_consistency_check, weight_unit_lattice
 from equitor.pipeline import Analysis, Options
 from equitor.reduced import (
     qualified_lattice,
@@ -15,7 +15,7 @@ from equitor.reduced import (
     sweep_chars,
 )
 from equitor.semigroup import WeightedAction, fiber_sample
-from equitor.subgroups import SubgroupOfA, weight_unit_lattice
+from equitor.subgroups import SubgroupOfA, unit_weights
 from conftest import action_5_7, action_5_8, fiber_queries, polynomial_action
 from corpus import random_action
 
@@ -109,7 +109,9 @@ def test_deep_face_units_match_the_paired_system(pool, index, coord):
     (P,) = [an.ctx.S.facets[pi] for pi in an.ctx.cls.ht2plus if an.ctx.S.facets[pi].coord == coord]
     row = tuple(int(j == coord) for j in range(act.ambient_dim))
     face = replace(act, congruences=act.congruences + ((row, 0),))
-    assert weight_unit_lattice(P.face_generators, act) == paired_unit_lattice(face, an.budget)
+    face_invariants = [g for g in an.ctx.S_G.hilbert_basis if g[coord] == 0]
+    units = unit_weights(P.face_generators, face_invariants, act)
+    assert units == weight_unit_lattice(P.face_generators, act) == paired_unit_lattice(face, an.budget)
 
 
 def test_qualified_sweep_falls_short_on_pool_92():

@@ -16,8 +16,8 @@ from equitor.semigroup import (
     fiber_sample,
     hilbert_basis,
 )
-from equitor.oracles import paired_unit_lattice
-from equitor.subgroups import SubgroupOfA, invariant_action, weight_unit_lattice
+from equitor.oracles import paired_unit_lattice, weight_unit_lattice
+from equitor.subgroups import SubgroupOfA, invariant_action, is_stable, unit_weights
 from corpus import random_action
 from conftest import (
     action_5_7,
@@ -360,6 +360,31 @@ def test_face_unit_lattice_matches_the_paired_system(action):
         assume(False)
     for P, want in zip(S.facets, paired):
         assert weight_unit_lattice(P.face_generators, action) == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_actions())
+@example(scaling_action())  # not stable
+@example(WeightedAction(3, 1, (), ((1,), (-1,), (1,))))  # a deep facet
+# the connected action of pool #116 (both benchmark pools): (1, 0, 1, 0) has
+# the unit weight (3, 0), but no single invariant generator's support holds {0, 2}
+@example(WeightedAction(4, 1, (3,), ((3, 2), (0, 1), (0, 1), (-3, 1)), (((2, 1, 1, 1), 3),)))
+def test_unit_weights_match_the_farkas_route(action):
+    # the support rule against the Fourier-Motzkin route, on S and on the
+    # face S ∩ {a_coord = 0} of every facet, deep ones included
+    budget = Budget(max_norm=32, max_nodes=20000)
+    try:
+        S = build_semigroup(action, budget)
+        S_G = build_semigroup(invariant_action(action), budget)
+    except CappedComputationError:
+        assume(False)
+    units = weight_unit_lattice(S.hilbert_basis, action)
+    assert unit_weights(S.hilbert_basis, S_G.hilbert_basis, action) == units
+    assert is_stable(S, S_G) == all(units.lattice.contains(action.raw_weight(h)) for h in S.hilbert_basis)
+    for P in S.facets:
+        face_invariants = [g for g in S_G.hilbert_basis if g[P.coord] == 0]
+        want = weight_unit_lattice(P.face_generators, action)
+        assert unit_weights(P.face_generators, face_invariants, action) == want
 
 
 def test_action_validation():

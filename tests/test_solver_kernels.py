@@ -23,7 +23,7 @@ from equitor.semigroup import (
     enumerate_fiber,
     minimal_nonneg_solutions,
 )
-from equitor.subgroups import perp, quotient_action
+from equitor.subgroups import invariant_action, perp, quotient_action
 from conftest import fiber_queries
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -146,13 +146,17 @@ def test_unit_weights_run_no_search(name):
     an = _fixture_analysis(name)
     act = an.connected_action
     build_semigroup(act, an.budget)
+    build_semigroup(invariant_action(act), an.budget)
     with fiber_queries() as calls:
         before = an.budget.nodes
         assert an.input_stable == (name != "scaling_torus")
         assert (an.budget.nodes, calls) == (before, [])
         if not an.input_stable:
-            build_semigroup(quotient_action(act, perp(an.input_units)), an.budget)
+            reduced = quotient_action(act, perp(an.input_units))
+            build_semigroup(reduced, an.budget)
+            build_semigroup(invariant_action(reduced), an.budget)
             before = an.budget.nodes
+        an.action
         an.units
     assert (an.budget.nodes, calls) == (before, [])
 

@@ -3,7 +3,7 @@ import random
 
 from equitor.divisors import DivisorContext
 from equitor.lattice import Sublattice, quotient_structure
-from equitor.oracles import restrict_action_to_subgroup
+from equitor.oracles import restrict_action_to_subgroup, weight_unit_lattice
 from equitor.semigroup import Budget, WeightedAction, build_semigroup
 from equitor.subgroups import (
     FiniteAbelianData,
@@ -18,7 +18,6 @@ from equitor.subgroups import (
     quotient_action,
     restriction_data,
     tor_subgroup,
-    weight_unit_lattice,
     whole_group,
 )
 from conftest import (
@@ -133,7 +132,7 @@ def test_reflection_group_scaling_torus_after_reduction():
     act = scaling_action()
     S = build_semigroup(act, Budget())
     units = weight_unit_lattice(S.hilbert_basis, act)
-    assert not is_stable(S, act, units)
+    assert not is_stable(S, build_semigroup(invariant_action(act), Budget()))
     reduced = quotient_action(act, perp(units))
     S2 = build_semigroup(reduced, Budget())
     ctx = DivisorContext(reduced, Budget())
@@ -251,7 +250,7 @@ def test_quotient_of_ambient_reproduces_5_7():
 def test_stability(fx57, fx58):
     for act, expect in ((fx57, True), (fx58, True), (scaling_action(), False)):
         S = build_semigroup(act, Budget())
-        assert is_stable(S, act, weight_unit_lattice(S.hilbert_basis, act)) == expect
+        assert is_stable(S, build_semigroup(invariant_action(act), Budget())) == expect
 
 
 def test_pairing_lemma_on_fixtures(fx57, fx58):

@@ -1,9 +1,10 @@
 """Source-level guarantees: no state that outlives one analysis, no cap or
 cache outside the analysis's budget, no parameter a body never reads, no
 fiber point that its reader can search for itself, no search in the group
-layers, no invariant check that `python -O` can strip, no name the engine
-never calls outside the reference routes of `oracles.py`, and no cap that
-the README does not name."""
+layers, no elimination behind the unit weights, no invariant check that
+`python -O` can strip, no name the engine never calls outside the
+reference routes of `oracles.py`, and no cap that the README does not
+name."""
 
 import ast
 import importlib.util
@@ -184,6 +185,25 @@ def test_group_layers_run_no_search():
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
         if alias.name.rpartition(".")[2] in SEARCHES
+    ]
+    assert found == []
+
+
+def test_unit_weights_run_no_elimination():
+    # unit weights and stability are read off supports; the Farkas route,
+    # one Fourier-Motzkin elimination per weight, is a reference route
+    def named(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.alias)):
+            return node.name
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        if name != "oracles.py"
+        for node in ast.walk(tree)
+        if named(node) == "weight_unit_lattice"
+        or (isinstance(node, ast.Call) and named(node.func) == "rational_shifted_cone_nonempty")
     ]
     assert found == []
 
