@@ -31,14 +31,16 @@ frontier is dominated by no solution of smaller norm, nor by one of equal
 norm (that would be x itself, and x is no solution).  So a solution s <= x
 + e_j must have s[j] = x[j] + 1, and the dominance test only looks at the
 solutions indexed under (j, x[j] + 1).  All nodes of one level share their
-norm, so duplicates are looked up within the level only.
+norm, so duplicates are looked up within the level only.  Each node and
+its g are packed into one int with a field per coordinate, so a step, the
+sign test and the dominance test are a few integer operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from operator import add, ge, itemgetter, mul
+from operator import itemgetter, mul
 
 from .errors import CappedComputationError, InputError, InvariantViolationError
 from .lattice import (
@@ -227,6 +229,24 @@ def minimal_nonneg_solutions(
     reduce the residual (Contejean-Devie criterion), pruning nodes dominated
     by an already-found solution.  With `stop_on_coord = (j, v)` returns early
     with the single first solution whose j-th coordinate equals v.
+
+    Nodes and residuals are packed into Python ints; only the returned
+    solutions are unpacked.  A node is never deeper than max_norm + 1, so
+    no coordinate exceeds it: x puts x[j] in bits w*j .. w*j + w - 2 with
+    w = (max_norm + 1).bit_length() + 1, and the top bit of each field is a
+    guard bit, 0 in every node.  x + e_j adds 1 << w*j, and y >= s
+    coordinatewise exactly when ((y | G) - s) & G == G for the guard mask G:
+    each field subtracts on its own, and a field with y[j] < s[j] borrows
+    its guard bit and no further.  The residual g = (A x . c_j)_j puts
+    g[j] + 2^(W-1) in bits W*j .. W*j + W - 1, where |g[j]| <= |x|_1 *
+    max_i |c_j . c_i| <= (max_norm + 1) * sum_k |a_kj| * |row k|_1 < 2^(W-1)
+    sets W.  So every field stays in [0, 2^W), the step along e_j adds the
+    packed Gram row j (the rows of A weighted by column j), the zero
+    residual is the bias B with only the fields' top bits set, and g[j] < 0
+    exactly when that top bit is clear, i.e. the set bits of B & ~g.  They
+    are taken lowest first, so j ascends as it would over the unpacked
+    residual, and nodes, solutions and their order are those of the
+    unpacked search.
     """
     if n == 0:
         return []
@@ -236,14 +256,30 @@ def minimal_nonneg_solutions(
             j, v = stop_on_coord
             return [units[j]] if v == 1 else []
         return units
-    cols = [tuple(r[j] for r in rows) for j in range(n)]
-    gram = [tuple(_dot(ci, cj) for cj in cols) for ci in cols]
-    zero = (0,) * n
-    # node x -> g = (A x . c_j)_j; the unit vector e_j carries row j of the Gram matrix
-    frontier = {tuple(int(i == j) for i in range(n)): gram[j] for j in range(n)}
-    stop_j, want = stop_on_coord or (0, None)  # want None matches no coordinate
-    sols: list[Vec] = []
-    by_coord: dict[tuple[int, int], list[Vec]] = {}  # (j, s[j]) -> solutions s
+    top = budget.max_norm + 1
+    w = top.bit_length() + 1
+    fmask = (1 << w) - 1
+    guard = ((1 << w * n) - 1) // fmask << (w - 1)  # the top bit of every node field
+    row_norms = [sum(map(abs, r)) for r in rows]
+    bound = top * max(sum(abs(r[j]) * s for r, s in zip(rows, row_norms)) for j in range(n))
+    W = bound.bit_length() + 1
+    bias = ((1 << W * n) - 1) // ((1 << W) - 1) << (W - 1)  # g = 0: each field's top bit
+    packed_rows = [sum(a << W * i for i, a in enumerate(r)) for r in rows]
+    # the sign bit of g[j] -> (e_j, packed Gram row j, the mask of field j)
+    step = {}
+    masks = []
+    frontier = {}  # node x -> g; e_j carries Gram row j
+    for j in range(n):
+        e = 1 << w * j
+        gram_j = sum(r[j] * p for r, p in zip(rows, packed_rows))
+        step[1 << (W * j + W - 1)] = (e, gram_j, fmask * e)
+        masks.append(fmask * e)
+        frontier[e] = bias + gram_j
+    stop_j, want = stop_on_coord or (0, None)
+    stop_mask = masks[stop_j]
+    stop_field = -1 if want is None else want << w * stop_j  # -1 matches no field
+    sols: list[int] = []
+    by_coord: dict[int, list[int]] = {}  # s & masks[j], i.e. (j, s[j]) -> solutions s
     nodes = 0
     norm = 1
     try:
@@ -254,43 +290,47 @@ def minimal_nonneg_solutions(
                 budget.norm_reached = norm
             expand = []
             for x, g in frontier.items():
-                if g != zero:
+                if g != bias:
                     expand.append((x, g))
                     continue
-                if x[stop_j] == want:
-                    return [x]
+                if x & stop_mask == stop_field:
+                    return [tuple((x >> w * j) & fmask for j in range(n))]
                 sols.append(x)
-                for j, xj in enumerate(x):
-                    if xj:
-                        by_coord.setdefault((j, xj), []).append(x)
+                for m in masks:
+                    if xj := x & m:
+                        by_coord.setdefault(xj, []).append(x)
             # every node of the next level has norm + 1, so a duplicate can
             # only come from this level: its own dict and pruned set suffice
-            nxt: dict[Vec, Vec] = {}
-            pruned: set[Vec] = set()
+            nxt: dict[int, int] = {}
+            pruned: set[int] = set()
             for x, g in expand:
-                for j, gj in enumerate(g):
-                    if gj >= 0:
-                        continue
-                    y = x[:j] + (x[j] + 1,) + x[j + 1 :]
+                neg = bias & ~g
+                while neg:
+                    low = neg & -neg
+                    neg ^= low
+                    e, gram_j, m = step[low]
+                    y = x + e
                     if y in nxt or y in pruned:
                         continue
-                    bucket = by_coord.get((j, y[j]))
-                    if bucket is not None and any(all(map(ge, y, s)) for s in bucket):
-                        pruned.add(y)
-                        continue
-                    nodes += 1
-                    if nodes > budget.max_nodes:
-                        raise CappedComputationError(
-                            "completion solver (candidates)", budget.max_nodes
-                        )
-                    nxt[y] = tuple(map(add, g, gram[j]))
+                    yg = y | guard
+                    for s in by_coord.get(y & m, ()):
+                        if (yg - s) & guard == guard:  # y >= s
+                            pruned.add(y)
+                            break
+                    else:
+                        nodes += 1
+                        if nodes > budget.max_nodes:
+                            raise CappedComputationError(
+                                "completion solver (candidates)", budget.max_nodes
+                            )
+                        nxt[y] = g + gram_j
             frontier = nxt
             norm += 1
     finally:
         budget.nodes += nodes
     if stop_on_coord is not None:
         return []
-    return sols
+    return [tuple((s >> w * j) & fmask for j in range(n)) for s in sols]
 
 
 def _lift_system(

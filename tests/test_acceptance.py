@@ -49,18 +49,21 @@ def corpus_results():
     its index and either the six fields that perfbench/golden/corpus.json
     pins or the cap's `what`.  Where Obs|_X is trivial, keeps the action
     and whether the cofree decision on an explicitly built X//kernel equals
-    the engine's, which reuses X's own.  Keeping the analyses would hold
-    every budget's memo tables for the whole module."""
+    the engine's, which reuses X's own.  Sums the completion solver's
+    `nodes` and takes the largest `norm_reached` over every attempt's
+    budget, capped ones included.  Keeping the analyses would hold every
+    budget's memo tables for the whole module."""
     rng = random.Random(20260810)
     results = []
     pinned = []
     kernel_quotients = []
+    nodes = norm_reached = 0
     started = time.monotonic()
     attempts = 215
     for index in range(1, attempts + 1):
         act = random_action(rng)
+        an = Analysis(act)
         try:
-            an = Analysis(act)
             v = an.verdict
             cor = corollary_consistency(an) if v.equidimensional == "yes" else None
             obs = an.obstruction
@@ -75,6 +78,9 @@ def corpus_results():
         except CappedComputationError as e:
             pinned.append({"index": index, "status": "capped", "cap": e.what})
             continue
+        finally:
+            nodes += an.budget.nodes
+            norm_reached = max(norm_reached, an.budget.norm_reached)
         pinned.append({"index": index, "status": "decided", "fields": fields})
         summary = None if obs is None else (obs.exponent, obs.restriction.order)
         results.append((act, v, cor, summary))
@@ -82,7 +88,7 @@ def corpus_results():
             rebuilt = DivisorContext(quotient_action(an.action, an.kernel), an.budget)
             kernel_quotients.append((act, an.decide_cofree(rebuilt) == an.cofree_decision))
     elapsed = time.monotonic() - started
-    return results, elapsed, attempts, pinned, kernel_quotients
+    return results, elapsed, attempts, pinned, kernel_quotients, (nodes, norm_reached)
 
 
 def test_acceptance_1_example_5_7():
@@ -196,7 +202,7 @@ def test_acceptance_4_divisor_identities():
 
 
 def test_acceptance_5_corpus_oracle_equivalence(corpus_results):
-    results, gen_elapsed, attempts, _pinned, _kq = corpus_results
+    results, gen_elapsed, attempts, _pinned, _kq, _work = corpus_results
     t0 = time.monotonic()
     decided = 0
     for act, v, _cor, _obs in results:
@@ -215,18 +221,26 @@ def test_acceptance_5_corpus_oracle_equivalence(corpus_results):
 def test_corpus_matches_the_golden_file(corpus_results):
     """Every attempt of the sweep decides with the pinned fields, or caps on
     the pinned cap, exactly as the benchmark's golden file records it."""
-    _results, _elapsed, attempts, pinned, _kq = corpus_results
+    _results, _elapsed, attempts, pinned, _kq, _work = corpus_results
     golden = json.loads((ROOT / "perfbench" / "golden" / "corpus.json").read_text())
     assert golden["pool_seed"] == 20260810
     assert attempts == golden["attempts"] == len(golden["instances"]) == 215
     assert pinned == golden["instances"]
 
 
+def test_corpus_solver_work_is_pinned(corpus_results):
+    """The completion solver's total candidates and deepest level over all
+    215 attempts, capped ones included: a change to its representation or
+    its bookkeeping must walk exactly the same nodes on every input."""
+    *_, work = corpus_results
+    assert work == (2_219_234, 64)
+
+
 def test_kernel_quotient_cofree_matches_the_engine(corpus_results):
     """Where Obs|_X is trivial the obstruction quotient is X//kernel, which
     the engine answers with X's own cofree decision; the decision on the
     explicitly rebuilt quotient must agree."""
-    _results, _elapsed, _attempts, _pinned, kernel_quotients = corpus_results
+    _results, _elapsed, _attempts, _pinned, kernel_quotients, _work = corpus_results
     assert [act for act, agrees in kernel_quotients if not agrees] == []
     assert len(kernel_quotients) >= 100
 
@@ -240,7 +254,7 @@ def test_acceptance_6_obstruction_consistency(corpus_results):
     where the minimal cover has order 6 while t = 3), so a failure
     here reports those instances rather than silently weakening the bound.
     """
-    results, gen_elapsed, _, _pinned, _kq = corpus_results
+    results, gen_elapsed, _, _pinned, _kq, _work = corpus_results
     t0 = time.monotonic()
     checked_cor = checked_div = 0
     cor_failures = []

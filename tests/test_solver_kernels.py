@@ -45,27 +45,56 @@ def _minimal_kernel_elements(rows, n, cap):
 def systems(draw):
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 2))
-    rows = [tuple(draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(m)]
+    # a row scaled by up to 20 keeps its solutions and widens the residual fields
+    rows = [
+        tuple(scale * draw(st.integers(-3, 3)) for _ in range(n))
+        for scale in [draw(st.integers(1, 20)) for _ in range(m)]
+    ]
     return rows, n
 
 
 @settings(max_examples=150, deadline=None)
-@given(systems(), st.integers(0, 3))
-@example(([(1, -1)], 2), 0)
-@example(([(2, -3, 0)], 3), 1)
-def test_solver_finds_the_minimal_kernel_elements(system, coord):
+@given(systems(), st.integers(1, NORM - 1), st.integers(0, 3), st.integers(0, 2))
+@example(([(1, -1)], 2), NORM - 1, 0, 1)
+@example(([(2, -3, 0)], 3), NORM - 1, 1, 2)
+@example(([(60, -60, 0), (-20, 0, 20)], 3), 3, 2, 1)  # (1, 1, 1) at the last level
+@example(([(0, 0)], 2), 1, 1, 1)  # an all-zero row: every unit vector is a solution
+def test_solver_finds_the_minimal_kernel_elements(system, max_norm, coord, want):
     rows, n = system
     try:
-        sols = minimal_nonneg_solutions(rows, n, Budget(max_norm=NORM - 1))
+        sols = minimal_nonneg_solutions(rows, n, Budget(max_norm=max_norm))
     except CappedComputationError:
-        assume(False)  # some minimal solution has norm >= NORM
+        assume(False)  # some minimal solution has norm > max_norm
     assert len(set(sols)) == len(sols)
     assert set(sols) == _minimal_kernel_elements(rows, n, NORM)
     # an early stop returns the first full-run solution with that coordinate
     j = coord % n
-    for want in (1, 2):
-        first = [s for s in sols if s[j] == want][:1]
-        assert minimal_nonneg_solutions(rows, n, Budget(max_norm=NORM - 1), stop_on_coord=(j, want)) == first
+    first = [s for s in sols if s[j] == want][:1]
+    assert minimal_nonneg_solutions(rows, n, Budget(max_norm=max_norm), stop_on_coord=(j, want)) == first
+
+
+def test_solver_work_does_not_depend_on_the_field_widths():
+    # the largest completion-solver call of the 5.8 analysis: a lifted quotient
+    # system whose modulus-3 row has its slack in the last column; a norm cap of
+    # 10**5 widens every packed field and must change neither result nor work
+    rows = [(1, 1, 1, -3, 0), (1, 2, 0, 0, -3), (1, 1, 1, -3, 0), (1, 1, 1, -3, 0), (1, -1, 0, 0, 0)]
+    default, wide = Budget(), Budget(max_norm=10**5)
+    sols = minimal_nonneg_solutions(rows, 5, default)
+    assert minimal_nonneg_solutions(rows, 5, wide) == sols
+    assert (wide.nodes, wide.norm_reached) == (default.nodes, default.norm_reached) == (92, 18)
+    assert len(sols) == 3
+
+
+@pytest.mark.parametrize("rows, max_norm, nodes", [([(-5, 1, 2)], 5, 14), ([(5, -3, -1)], 6, 16)])
+def test_degree_cap_counts_the_level_it_stops_at(rows, max_norm, nodes):
+    # the candidates of level max_norm + 1 are counted before the degree cap
+    # raises; their coordinates reach 4 = 2^2 here, so the node fields need
+    # (max_norm + 1).bit_length() value bits and a guard bit above them
+    budget = Budget(max_norm=max_norm)
+    with pytest.raises(CappedComputationError) as err:
+        minimal_nonneg_solutions(rows, 3, budget)
+    assert (err.value.what, err.value.cap) == ("completion solver (degree)", max_norm)
+    assert (budget.nodes, budget.norm_reached) == (nodes, max_norm)
 
 
 def _naive_slices(action, cap):
@@ -202,4 +231,4 @@ def test_corpus_42_caps_in_bounded_memory():
     )
     what, peak_kb = out.stdout.splitlines()
     assert what == "completion solver (candidates)"
-    assert int(peak_kb) < 150 * 1024
+    assert int(peak_kb) < 100 * 1024
