@@ -30,7 +30,7 @@ from .semigroup import (
     enumerate_fiber,
     fiber_sample,
 )
-from .subgroups import ineffective_kernel, invariant_action
+from .subgroups import ineffective_kernel
 
 HT1 = "ht1"
 HT2PLUS = "ht2plus"
@@ -197,7 +197,7 @@ class DivisorContext:
         self.action = action
         self.budget = budget
         self.S = build_semigroup(action, budget)
-        self.S_G = build_semigroup(invariant_action(action), budget)
+        self.S_G = build_semigroup(action.invariant_action, budget)
         self.kernel = ineffective_kernel(self.S, action)
         self.cls = classify_facets(self.S, self.S_G)
         self.cl_R = ClassGroupData.of(self.S, "R")

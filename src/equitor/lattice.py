@@ -51,11 +51,9 @@ class IntMatrix:
 
     @staticmethod
     def from_cols(cols, ambient: int) -> "IntMatrix":
-        cols = [tuple(int(x) for x in c) for c in cols]
-        for c in cols:
-            if len(c) != ambient:
-                raise InputError("column length does not match ambient rank")
-        return IntMatrix(tuple(tuple(c[i] for c in cols) for i in range(ambient)))
+        if any(len(c) != ambient for c in cols):
+            raise InputError("column length does not match ambient rank")
+        return IntMatrix(tuple(zip(*cols)) if cols else ((),) * ambient)
 
     def col(self, j: int) -> Vec:
         return tuple(row[j] for row in self.entries)
@@ -63,11 +61,27 @@ class IntMatrix:
     def mul_vec(self, v: Vec) -> Vec:
         if self.entries and len(v) != self.cols:
             raise InputError("vector length does not match matrix width")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple([sum(map(mul, row, v)) for row in self.entries])
 
 
 def _identity_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _frozen(rows: list[list[int]]) -> IntMatrix:
+    return IntMatrix(tuple(map(tuple, rows)))
+
+
+def _in_smith_form(entries: Rows) -> bool:
+    """Zero off the diagonal, and a diagonal of nonnegative entries, the
+    positive ones first, each dividing the next."""
+    prev = 1
+    for i, row in enumerate(entries):
+        d = row[i] if i < len(row) else 0
+        if d < 0 or (d % prev if prev else d) or any(row[:i]) or any(row[i + 1 :]):
+            return False
+        prev = d
+    return True
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -79,8 +93,17 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     Number Theory, section 2.4.  Only the forward transforms are kept: every
     caller reads U (coordinates, right-hand sides) or V (kernel columns,
     particular solutions), never an inverse.
+
+    An input already in Smith form (`_in_smith_form`, empty matrices
+    included) returns (M, I, I) at once.  The elimination would change
+    nothing there: the smallest nonzero entry of each trailing block is its
+    first diagonal entry, positive, with zeros beside it and dividing every
+    entry after it, and a zero trailing block ends the loop.  So S, U and V
+    are the ones it would give.
     """
     nr, nc = M.rows, M.cols
+    if _in_smith_form(M.entries):
+        return M, _frozen(_identity_rows(nr)), _frozen(_identity_rows(nc))
     A = [list(r) for r in M.entries]
     U = _identity_rows(nr)
     V = _identity_rows(nc)
@@ -149,7 +172,7 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             continue
         t += 1
 
-    return tuple(IntMatrix(tuple(tuple(r) for r in X)) for X in (A, U, V))
+    return _frozen(A), _frozen(U), _frozen(V)
 
 
 def diagonal_of(S: IntMatrix) -> list[int]:
@@ -223,10 +246,8 @@ class Sublattice:
 
     @staticmethod
     def from_columns(cols, ambient: int) -> "Sublattice":
-        cols = [tuple(int(x) for x in c) for c in cols]
-        for c in cols:
-            if len(c) != ambient:
-                raise InputError("column length does not match ambient rank")
+        if any(len(c) != ambient for c in cols):
+            raise InputError("column length does not match ambient rank")
         return Sublattice(ambient, column_hnf(cols, ambient))
 
     @staticmethod
@@ -243,7 +264,7 @@ class Sublattice:
         return tuple(next(r for r, x in enumerate(col) if x) for col in self.basis)
 
     def basis_matrix(self) -> IntMatrix:
-        return IntMatrix.from_cols(list(self.basis), self.ambient)
+        return IntMatrix.from_cols(self.basis, self.ambient)
 
     def coordinates(self, v: Vec) -> Vec | None:
         """Coefficients of v in the basis, or None when v is not in the lattice.
@@ -303,9 +324,21 @@ def _kernel_columns(S: IntMatrix, V: IntMatrix) -> list[Vec]:
 
 
 def kernel_basis(M: IntMatrix) -> list[Vec]:
-    """Columns spanning {x : M x = 0} over Z."""
-    S, _U, V = smith_normal_form(M)
-    return _kernel_columns(S, V)
+    """A basis of {x : M x = 0} over Z, from one column Hermite form.
+
+    The columns (M e_j ; e_j) span the lattice {(M x ; x)}.  In its Hermite
+    form a column whose pivot lies below row M.rows is zero on the top
+    rows, so its lower half x has M x = 0.  These span the kernel: in the
+    combination of Hermite columns that gives (0 ; x), the column with the
+    topmost pivot and a nonzero coefficient is alone in its pivot row, so
+    no column with a pivot among the top rows takes part.  The basis is not
+    the Smith route's, but its one engine reader, `Sublattice.intersect`,
+    puts what it spans in canonical form, so intersections do not change."""
+    nr, nc = M.rows, M.cols
+    stacked = [
+        col + (0,) * j + (1,) + (0,) * (nc - j - 1) for j, col in enumerate(zip(*M.entries))
+    ]
+    return [c[nr:] for c in column_hnf(stacked, nr + nc) if not any(c[:nr])]
 
 
 def solve_diophantine(M: IntMatrix, b: Vec) -> tuple[Vec, list[Vec]] | None:

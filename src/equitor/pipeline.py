@@ -42,7 +42,6 @@ from .subgroups import (
     FiniteAbelianData,
     SubgroupOfA,
     SubgroupOfG,
-    invariant_action,
     is_stable,
     perp,
     pseudo_reflection_group,
@@ -156,7 +155,7 @@ class Analysis:
 
     def _semigroups(self, act: WeightedAction) -> tuple[AffineSemigroup, AffineSemigroup]:
         """S and S_G of an action, from the budget's memo table."""
-        return build_semigroup(act, self.budget), build_semigroup(invariant_action(act), self.budget)
+        return build_semigroup(act, self.budget), build_semigroup(act.invariant_action, self.budget)
 
     @cached_property
     def input_units(self) -> SubgroupOfA:

@@ -38,13 +38,15 @@ sign test and the dominance test are a few integer operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import gcd
 from operator import itemgetter, mul
 
 from .errors import CappedComputationError, InputError, InvariantViolationError
 from .lattice import (
     IntMatrix,
+    QuotientGroup,
     Sublattice,
     CAPPED,
     EMPTY,
@@ -120,7 +122,7 @@ class WeightedAction:
             if m < 0:
                 raise InputError("congruence modulus must be >= 0")
 
-    @property
+    @cached_property
     def char_length(self) -> int:
         return self.free_rank + len(self.torsion_moduli)
 
@@ -148,9 +150,15 @@ class WeightedAction:
             raise InputError("exponent vector length mismatch")
         return self.reduce_char(self.raw_weight(a))
 
+    @cached_property
+    def weight_matrix(self) -> tuple[Vec, ...]:
+        """The matrix W with W.a the raw weight of x^a: row i holds coordinate
+        i of every variable's weight."""
+        return tuple(zip(*self.weights)) if self.weights else ((),) * self.char_length
+
     def raw_weight(self, a: Vec) -> Vec:
         """Integer weight W.a before torsion reduction."""
-        return tuple(sum(w[i] * x for w, x in zip(self.weights, a)) for i in range(self.char_length))
+        return tuple([sum(map(mul, row, a)) for row in self.weight_matrix])
 
     def relation_lattice(self) -> Sublattice:
         """Lattice of character-group relations inside Z^char_length.  Its
@@ -165,12 +173,34 @@ class WeightedAction:
 
     def weight_rows(self) -> list[tuple[Vec, int]]:
         """The weight map as (coefficients over variables, modulus) rows."""
+        return list(zip(self.weight_matrix, (0,) * self.free_rank + self.torsion_moduli))
+
+    def quotient_by(self, B: Sublattice) -> "WeightedAction":
+        """Action on X // H, B the annihilator lattice of H: same weights,
+        and congruences that keep only the monomials whose raw weight lies in B.
+
+        With U the invariant-factor transform of Z^char_length / B and d_i
+        its factors (0 past the torsion), W.a lies in B exactly when
+        (U W a)_i = 0 mod d_i for every i.  So row i of U W becomes a
+        congruence modulo d_i, except where it says nothing: d_i = 1, or
+        d_i = 0 with an all-zero row."""
+        q = QuotientGroup.of(B)
         rows = []
-        for i in range(self.char_length):
-            coeffs = tuple(w[i] for w in self.weights)
-            m = 0 if i < self.free_rank else self.torsion_moduli[i - self.free_rank]
-            rows.append((coeffs, m))
-        return rows
+        for i, urow in enumerate(q.transform.entries):
+            m = q.diag[i] if i < len(q.diag) else 0
+            if m == 1:
+                continue
+            coeffs = tuple([sum(map(mul, urow, w)) for w in self.weights])
+            if m or any(coeffs):
+                rows.append((coeffs, m))
+        return replace(self, congruences=self.congruences + tuple(rows))
+
+    @cached_property
+    def invariant_action(self) -> "WeightedAction":
+        """The action restricted to the invariant semigroup S_G: the quotient
+        by all of G, whose annihilator is the relation lattice.  Built once
+        per action."""
+        return self.quotient_by(self.relation_lattice())
 
 
 @dataclass(frozen=True)

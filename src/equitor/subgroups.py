@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .lattice import QuotientGroup, Sublattice, quotient_structure
+from .lattice import Sublattice, quotient_structure
 from .semigroup import AffineSemigroup, FacetPrime, Vec, WeightedAction
 
 
@@ -46,10 +46,6 @@ class SubgroupOfA:
         rel = action.relation_lattice()
         cols = [tuple(c) for c in chars] + list(rel.basis)
         return SubgroupOfA(action, Sublattice.from_columns(cols, action.char_length))
-
-    @staticmethod
-    def trivial(action: WeightedAction) -> "SubgroupOfA":
-        return SubgroupOfA.generated_by(action, [])
 
     def contains_subgroup(self, other: "SubgroupOfA") -> bool:
         return self.lattice.contains_lattice(other.lattice)
@@ -99,10 +95,6 @@ def perp(x: SubgroupOfA | SubgroupOfG):
     if isinstance(x, SubgroupOfA):
         return SubgroupOfG(x)
     return x.annihilator
-
-
-def whole_group(action: WeightedAction) -> SubgroupOfG:
-    return SubgroupOfG(SubgroupOfA.trivial(action))
 
 
 @dataclass(frozen=True)
@@ -176,42 +168,14 @@ def restriction_data(H: SubgroupOfG, L: SubgroupOfG) -> FiniteAbelianData | None
 
 
 def quotient_action(action: WeightedAction, H: SubgroupOfG) -> WeightedAction:
-    """Action on X // H: same weights, congruences keep only H-invariant weights.
-
-    Monomials surviving the quotient are those whose raw weight lies in the
-    annihilator lattice B_H; the membership conditions come from the
-    invariant-factor presentation of A / B_H composed with the weight map.
-    """
+    """Action on X // H: same weights, congruences keep only H-invariant weights
+    (`WeightedAction.quotient_by` the annihilator lattice B_H).  The quotient
+    by all of G, B_H the relation lattice, is the action's own
+    `invariant_action`, so it is built once."""
     B = H.annihilator.lattice
-    q = QuotientGroup.of(B)
-    k = action.char_length
-    new_rows: list[tuple[Vec, int]] = []
-    u = q.transform  # y = U * (raw weight); row i is constrained mod diag[i]
-    diag = q.diag
-    for i in range(k):
-        urow = u.entries[i]
-        coeffs = tuple(
-            sum(urow[t] * action.weights[j][t] for t in range(k))
-            for j in range(action.ambient_dim)
-        )
-        m = diag[i] if i < len(diag) else 0
-        if m == 1:
-            continue
-        if m == 0 and all(c == 0 for c in coeffs):
-            continue
-        new_rows.append((coeffs, m))
-    return WeightedAction(
-        ambient_dim=action.ambient_dim,
-        free_rank=action.free_rank,
-        torsion_moduli=action.torsion_moduli,
-        weights=action.weights,
-        congruences=action.congruences + tuple(new_rows),
-    )
-
-
-def invariant_action(action: WeightedAction) -> WeightedAction:
-    """Action restricted to the invariant semigroup (quotient by all of G)."""
-    return quotient_action(action, whole_group(action))
+    if B == action.relation_lattice():
+        return action.invariant_action
+    return action.quotient_by(B)
 
 
 def is_stable(S: AffineSemigroup, S_G: AffineSemigroup) -> bool:

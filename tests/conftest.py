@@ -1,13 +1,16 @@
 """Shared fixture actions used across the suite."""
 
+import random
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
 import equitor.divisors
-from equitor.lattice import Sublattice
+from equitor.lattice import IntMatrix, Sublattice
 from equitor.semigroup import WeightedAction
 from equitor.subgroups import SubgroupOfA, SubgroupOfG
+from corpus import random_action
 
 
 def action_5_7() -> WeightedAction:
@@ -74,6 +77,15 @@ def trivial_subgroup(action: WeightedAction) -> SubgroupOfG:
     return SubgroupOfG(SubgroupOfA.generated_by(action, [tuple(int(i == j) for i in range(k)) for j in range(k)]))
 
 
+def identity_matrix(n: int) -> IntMatrix:
+    return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def whole_group(action: WeightedAction) -> SubgroupOfG:
+    """All of G: only the character-group relations annihilate it."""
+    return SubgroupOfG(SubgroupOfA.generated_by(action, []))
+
+
 def ramification_lattice(ctx) -> Sublattice:
     """The full-fiber columns with the unit vectors at the deep facets:
     character divisors are additive modulo this lattice."""
@@ -106,6 +118,34 @@ def fiber_queries():
         yield calls
     finally:
         equitor.divisors.fiber_sample = real
+
+
+@contextmanager
+def quotient_builds():
+    """Record every quotient action built (`WeightedAction.quotient_by`), in
+    order, as (action, annihilator lattice); the whole-group quotient has
+    the action's relation lattice."""
+    real = WeightedAction.quotient_by
+    calls = []
+
+    def spy(self, B):
+        calls.append((self, B))
+        return real(self, B)
+
+    WeightedAction.quotient_by = spy
+    try:
+        yield calls
+    finally:
+        WeightedAction.quotient_by = real
+
+
+def pool_action(pool: str, index: int) -> WeightedAction:
+    """Action #index of the acceptance-corpus generator (seed 20260810);
+    the `orthant` pool drops its quotient congruences."""
+    rng = random.Random(20260810)
+    for _ in range(index):
+        act = random_action(rng)
+    return replace(act, congruences=()) if pool == "orthant" else act
 
 
 def repeated_queries(calls) -> list:

@@ -16,7 +16,7 @@ from equitor.divisors import (
 from equitor.errors import CharacterNotRealizedError, InvariantViolationError
 from equitor.oracles import min_free_multiple
 from equitor.semigroup import Budget, WeightedAction, build_semigroup
-from equitor.subgroups import invariant_action, is_stable
+from equitor.subgroups import is_stable
 from conftest import (
     action_5_7,
     action_5_8,
@@ -66,7 +66,7 @@ def test_a_context_builds_exactly_on_a_stable_action(act):
     # only the candidate cap bounds the work: the last example is stable,
     # and its invariant semigroup needs norm 68, past the default depth cap
     budget = Budget(max_norm=10**6)
-    stable = is_stable(build_semigroup(act, budget), build_semigroup(invariant_action(act), budget))
+    stable = is_stable(build_semigroup(act, budget), build_semigroup(act.invariant_action, budget))
     try:
         DivisorContext(act, budget)
     except InvariantViolationError as e:

@@ -23,6 +23,7 @@ from equitor.lattice import (
     solve_diophantine,
 )
 from equitor.semigroup import Budget
+from conftest import identity_matrix
 
 
 def diag_entries(S):
@@ -78,6 +79,47 @@ def test_snf_empty_and_degenerate():
     check_snf(IntMatrix.from_rows([]))
     check_snf(IntMatrix.from_rows([[0, 0], [0, 0]]))
     check_snf(IntMatrix.from_rows([[5]]))
+
+
+def smith_form(rng, rows, cols):
+    """A random matrix already in Smith form: a divisibility chain of
+    positive entries, repeats included, then a zero tail."""
+    n = min(rows, cols)
+    d = [1]
+    for _ in range(rng.randint(0, n)):
+        d.append(d[-1] * rng.choice([1, 1, 2, 3]))
+    d = d[1:] + [0] * (n - len(d) + 1)
+    return IntMatrix.from_rows([[d[i] if i == j else 0 for j in range(cols)] for i in range(rows)])
+
+
+def test_smith_form_inputs_return_at_once():
+    rng = random.Random(41)
+    # an IntMatrix without rows has no columns either, so 0 x n is 0 x 0;
+    # from_cols builds n x 0 from no columns
+    mats = [IntMatrix.from_rows([]), IntMatrix.from_cols([], 3), IntMatrix.from_cols([(), (), ()], 0)]
+    mats += [smith_form(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(80)]
+    mats += [IntMatrix.from_rows([[2, 0, 0], [0, 2, 0]]), IntMatrix.from_rows([[1, 0], [0, 0], [0, 0]])]
+    for M in mats:
+        assert smith_normal_form(M) == (M, identity_matrix(M.rows), identity_matrix(M.cols))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 0], [0, 2]],  # a zero before a positive entry
+        [[4, 0], [0, 2]],  # no divisibility chain
+        [[-1, 0], [0, 2]],  # a negative diagonal entry
+        [[2, 0], [0, -4]],
+        [[1, 1], [0, 1]],  # one off-diagonal entry
+        [[2, 0, 0], [0, 4, 6]],
+        [[3], [1]],
+    ],
+)
+def test_near_smith_inputs_take_the_elimination(rows):
+    M = IntMatrix.from_rows(rows)
+    S = check_snf(M)
+    assert smith_normal_form(M) != (M, identity_matrix(M.rows), identity_matrix(M.cols))
+    assert smith_normal_form(S) == (S, identity_matrix(S.rows), identity_matrix(S.cols))
 
 
 def test_solve_diophantine_basic():
@@ -212,6 +254,14 @@ def test_subgroup_algebra_commutes_and_associates():
         assert a.intersect(b.intersect(c)) == a.intersect(b).intersect(c)
 
 
+def _combination(rng, cols, ambient):
+    v = [0] * ambient
+    for c in cols:
+        k = rng.randint(-6, 6)
+        v = [x + k * y for x, y in zip(v, c)]
+    return tuple(v)
+
+
 def test_intersect_against_membership():
     rng = random.Random(23)
     for _ in range(15):
@@ -227,6 +277,27 @@ def test_intersect_against_membership():
         for _ in range(20):
             v = tuple(rng.randint(-6, 6) for _ in range(3))
             assert both.contains(v) == (a.contains(v) and b.contains(v))
+    # ambient 5, lattices of rank 0 to 4 that share some directions (scaled
+    # by 2 in a and by 3 in b), a with a dependent generator; test vectors
+    # are drawn from each lattice and from the shared span, so that
+    # membership goes every way
+    for _ in range(40):
+        shared = [tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(rng.randint(0, 2))]
+        gens_a = [tuple(rng.choice([1, 2]) * x for x in c) for c in shared]
+        gens_a += [tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(rng.randint(0, 2))]
+        if gens_a:
+            gens_a.append(tuple(x - 2 * y for x, y in zip(gens_a[0], gens_a[-1])))
+        gens_b = [tuple(rng.choice([1, 3]) * x for x in c) for c in shared]
+        gens_b += [tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(rng.randint(0, 2))]
+        a, b = Sublattice.from_columns(gens_a, 5), Sublattice.from_columns(gens_b, 5)
+        both = a.intersect(b)
+        assert both == b.intersect(a)
+        for col in both.basis:
+            assert a.contains(col) and b.contains(col)
+        for _ in range(10):
+            for gens in (a.basis, b.basis, shared):
+                v = _combination(rng, gens, 5)
+                assert both.contains(v) == (a.contains(v) and b.contains(v))
 
 
 def test_kernel_basis_shapes():
@@ -237,6 +308,29 @@ def test_kernel_basis_shapes():
     assert len(ker) == 2
     for col in ker:
         assert M.mul_vec(col) == (0,)
+    # random shapes with zero rows, zero columns and dependent rows: the
+    # columns are an independent kernel set spanning what the Smith route spans
+    rng = random.Random(19)
+    mats = [IntMatrix.from_rows([]), IntMatrix.from_cols([], 2), IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])]
+    for _ in range(80):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        A = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:
+            A[rng.randrange(rows)] = [0] * cols
+        if rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in A:
+                row[j] = 0
+        if rng.random() < 0.3:
+            A.append([x + 2 * y for x, y in zip(A[0], A[-1])])
+        mats.append(IntMatrix.from_rows(A))
+    for M in mats:
+        ker = kernel_basis(M)
+        for col in ker:
+            assert len(col) == M.cols and M.mul_vec(col) == (0,) * M.rows
+        assert matrix_rank(ker) == len(ker)
+        spanned = Sublattice.from_columns(solve_diophantine(M, (0,) * M.rows)[1], M.cols)
+        assert Sublattice.from_columns(ker, M.cols) == spanned
 
 
 def test_matrix_rank():

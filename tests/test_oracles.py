@@ -14,7 +14,6 @@ from equitor.oracles import (
 )
 from equitor.pipeline import Analysis
 from equitor.semigroup import Budget, WeightedAction, build_semigroup
-from equitor.subgroups import invariant_action
 from conftest import (
     action_5_7,
     action_5_8,
@@ -25,7 +24,7 @@ from conftest import (
 
 
 def semigroup_pair(action):
-    return build_semigroup(action, Budget()), build_semigroup(invariant_action(action), Budget())
+    return build_semigroup(action, Budget()), build_semigroup(action.invariant_action, Budget())
 
 
 def test_null_fiber_trivial_group():
@@ -63,7 +62,7 @@ def test_null_fiber_monotone_under_more_invariants(fx57):
     # enlarging the invariant semigroup cannot increase the null fiber
     act = ambient_torus_action()
     S = build_semigroup(act, Budget())
-    SG_small = build_semigroup(invariant_action(act), Budget())
+    SG_small = build_semigroup(act.invariant_action, Budget())
     SG_big = S  # pretend the whole thing is invariant
     d_small, _ = null_fiber_dimension(S, SG_small)
     d_big, _ = null_fiber_dimension(S, SG_big)

@@ -23,9 +23,7 @@ from equitor.pipeline import (
 )
 from equitor.semigroup import Budget, WeightedAction, build_semigroup
 from equitor.subgroups import (
-    SubgroupOfA,
     ineffective_kernel,
-    perp,
     pseudo_reflection_group,
     quotient_action,
     restriction_data,
@@ -319,7 +317,7 @@ def test_reflection_quotient_action_is_cofree():
                 quotient_action(act, refl_tilde), join
             )
             S_sub = build_semigroup(sub, Budget())
-            SG_sub = build_semigroup(quotient_action(sub, perp(SubgroupOfA.trivial(sub))), Budget())
+            SG_sub = build_semigroup(sub.invariant_action, Budget())
             for h in S_sub.hilbert_basis:
                 chi = sub.weight_of(h)
                 got = bounded_freeness_oracle(SG_sub, sub, chi, 10)

@@ -74,7 +74,7 @@ def test_qualified_exact_when_the_sweep_reaches_the_face_units():
     assert not an.ctx.cls.no_blowing_up
     # nothing qualifies: the negative fiber of every candidate meets the
     # deep facet, so Q is trivial and the sweep reaches it
-    assert an.qualified.closed_form == SubgroupOfA.trivial(an.action)
+    assert an.qualified.closed_form == SubgroupOfA.generated_by(an.action, [])
     assert an.qualified.basis_chars() == []
     assert an.qualified.provenance == "exact"
 

@@ -17,7 +17,7 @@ from equitor.semigroup import (
     hilbert_basis,
 )
 from equitor.oracles import paired_unit_lattice, weight_unit_lattice
-from equitor.subgroups import SubgroupOfA, invariant_action, is_stable, unit_weights
+from equitor.subgroups import SubgroupOfA, is_stable, unit_weights
 from corpus import random_action
 from conftest import (
     action_5_7,
@@ -138,7 +138,7 @@ def test_facets_are_the_corank_one_zero_sets():
     facets_seen = 0
     for _ in range(300):
         act = random_action(rng)
-        for a in (act, invariant_action(act)):
+        for a in (act, act.invariant_action):
             try:
                 S = build_semigroup(a, Budget())
             except CappedComputationError:
@@ -375,7 +375,7 @@ def test_unit_weights_match_the_farkas_route(action):
     budget = Budget(max_norm=32, max_nodes=20000)
     try:
         S = build_semigroup(action, budget)
-        S_G = build_semigroup(invariant_action(action), budget)
+        S_G = build_semigroup(action.invariant_action, budget)
     except CappedComputationError:
         assume(False)
     units = weight_unit_lattice(S.hilbert_basis, action)

@@ -1,5 +1,6 @@
 """The completion solver and the weight-fiber walk against brute force, and
-the deterministic work counters that pin their searches."""
+the deterministic work counters that pin their searches and the lattice
+work of an analysis."""
 
 import dataclasses
 import itertools
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from equitor import lattice
 from equitor.cli import analyze_report, parse_input
 from equitor.errors import CappedComputationError
 from equitor.pipeline import Analysis
@@ -23,8 +25,8 @@ from equitor.semigroup import (
     enumerate_fiber,
     minimal_nonneg_solutions,
 )
-from equitor.subgroups import invariant_action, perp, quotient_action
-from conftest import fiber_queries
+from equitor.subgroups import perp, quotient_action
+from conftest import fiber_queries, identity_matrix, pool_action, quotient_builds
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -168,6 +170,52 @@ def test_solver_work_counters_are_pinned(name, nodes, norm_reached):
     assert (an.budget.nodes, an.budget.norm_reached) == (nodes, norm_reached)
 
 
+@pytest.mark.parametrize(
+    "name, smith, eliminating, quotients",
+    [
+        ("example_5_7", 34, 27, 5),
+        ("example_5_8", 23, 18, 5),
+        ("polynomial_ring", 5, 0, 1),
+        ("reflection_part", 23, 16, 5),
+        ("scaling_torus", 4, 0, 2),
+    ],
+)
+def test_lattice_work_counters_are_pinned(monkeypatch, name, smith, eliminating, quotients):
+    # Smith forms, those that eliminate (an input already in Smith form
+    # comes back as (M, I, I)), and quotient actions built, over one report
+    real = lattice.smith_normal_form
+    results = []
+
+    def counted(M):
+        got = real(M)
+        results.append(got != (M, identity_matrix(M.rows), identity_matrix(M.cols)))
+        return got
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counted)
+    an = _fixture_analysis(name)
+    with quotient_builds() as built:
+        analyze_report(an)
+    assert (len(results), sum(results), len(built)) == (smith, eliminating, quotients)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["example_5_7", "example_5_8", "polynomial_ring", "reflection_part", "scaling_torus"]
+    # unstable with no unit weight (#2), with torsion too (#5), unstable with
+    # unit weights (#16), an obstruction quotient of its own (#116, #182)
+    + [("orthant", 2), ("orthant", 5), ("orthant", 16), ("orthant", 116), ("orthant", 182), ("corpus", 6)],
+    ids=str,
+)
+def test_one_invariant_action_per_action(source):
+    # the quotient by all of G is built once per action object, whichever
+    # stage asks for it first; its annihilator is the relation lattice
+    an = _fixture_analysis(source) if isinstance(source, str) else Analysis(pool_action(*source))
+    with quotient_builds() as built:
+        analyze_report(an)
+    whole = [id(act) for act, B in built if B == act.relation_lattice()]
+    assert whole and len(whole) == len(set(whole))
+
+
 @pytest.mark.parametrize("name", ["example_5_7", "example_5_8", "polynomial_ring", "scaling_torus"])
 def test_unit_weights_run_no_search(name):
     # once the semigroups are built, the stability decision and the
@@ -175,7 +223,7 @@ def test_unit_weights_run_no_search(name):
     an = _fixture_analysis(name)
     act = an.connected_action
     build_semigroup(act, an.budget)
-    build_semigroup(invariant_action(act), an.budget)
+    build_semigroup(act.invariant_action, an.budget)
     with fiber_queries() as calls:
         before = an.budget.nodes
         assert an.input_stable == (name != "scaling_torus")
@@ -183,7 +231,7 @@ def test_unit_weights_run_no_search(name):
         if not an.input_stable:
             reduced = quotient_action(act, perp(an.input_units))
             build_semigroup(reduced, an.budget)
-            build_semigroup(invariant_action(reduced), an.budget)
+            build_semigroup(reduced.invariant_action, an.budget)
             before = an.budget.nodes
         an.action
         an.units

@@ -11,14 +11,12 @@ from equitor.subgroups import (
     SubgroupOfG,
     ineffective_kernel,
     inertia_subgroup,
-    invariant_action,
     is_stable,
     perp,
     pseudo_reflection_group,
     quotient_action,
     restriction_data,
     tor_subgroup,
-    whole_group,
 )
 from conftest import (
     action_5_7,
@@ -28,6 +26,7 @@ from conftest import (
     polynomial_action,
     scaling_action,
     trivial_subgroup,
+    whole_group,
 )
 
 
@@ -60,7 +59,7 @@ def test_perp_extremes():
     k = act.char_length
     full = SubgroupOfA.generated_by(act, [tuple(int(i == j) for i in range(k)) for j in range(k)])
     assert perp(full) == trivial_subgroup(act)
-    assert perp(SubgroupOfA.trivial(act)) == whole_group(act)
+    assert perp(SubgroupOfA.generated_by(act, [])) == whole_group(act)
     two = SubgroupOfA.generated_by(
         WeightedAction(ambient_dim=1, free_rank=1, torsion_moduli=(), weights=((1,),)),
         [(2,)],
@@ -132,7 +131,7 @@ def test_reflection_group_scaling_torus_after_reduction():
     act = scaling_action()
     S = build_semigroup(act, Budget())
     units = weight_unit_lattice(S.hilbert_basis, act)
-    assert not is_stable(S, build_semigroup(invariant_action(act), Budget()))
+    assert not is_stable(S, build_semigroup(act.invariant_action, Budget()))
     reduced = quotient_action(act, perp(units))
     S2 = build_semigroup(reduced, Budget())
     ctx = DivisorContext(reduced, Budget())
@@ -234,7 +233,7 @@ def test_quotient_action_trivial_and_full(fx57):
     S = build_semigroup(act, Budget())
     assert build_semigroup(quotient_action(act, trivial_subgroup(act)), Budget()).hilbert_basis == S.hilbert_basis
     SG = build_semigroup(quotient_action(act, whole_group(act)), Budget())
-    assert SG.hilbert_basis == build_semigroup(invariant_action(act), Budget()).hilbert_basis
+    assert SG.hilbert_basis == build_semigroup(act.invariant_action, Budget()).hilbert_basis
     assert all(act.weight_of(h) == (0, 0) for h in SG.hilbert_basis)
 
 
@@ -250,7 +249,7 @@ def test_quotient_of_ambient_reproduces_5_7():
 def test_stability(fx57, fx58):
     for act, expect in ((fx57, True), (fx58, True), (scaling_action(), False)):
         S = build_semigroup(act, Budget())
-        assert is_stable(S, build_semigroup(invariant_action(act), Budget())) == expect
+        assert is_stable(S, build_semigroup(act.invariant_action, Budget())) == expect
 
 
 def test_pairing_lemma_on_fixtures(fx57, fx58):

@@ -7,8 +7,6 @@ that point as from the one `fiber_element` searches for the character.
 """
 
 import json
-import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,21 +20,13 @@ from equitor.oracles import NO, bounded_freeness_oracle
 from equitor.pipeline import Analysis, Options, weight_sweep_points
 from equitor.reduced import sweep_points
 from equitor.semigroup import WeightedAction
-from conftest import fiber_queries, repeated_queries
-from corpus import random_action
+from conftest import fiber_queries, pool_action, repeated_queries
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
 
 
 def _fixture_analysis(path: Path) -> Analysis:
     return Analysis(*parse_input(json.loads(path.read_text())))
-
-
-def _pool_action(pool: str, index: int) -> WeightedAction:
-    rng = random.Random(20260810)
-    for _ in range(index):
-        act = random_action(rng)
-    return replace(act, congruences=()) if pool == "orthant" else act
 
 
 def _check_points(ctx, points):
@@ -84,7 +74,7 @@ def test_summed_points_match_the_searched_points_on_the_fixtures(fixture):
     ids=lambda x: str(x),
 )
 def test_summed_points_match_the_searched_points_on_the_pools(pool, index):
-    _cross_check(Analysis(_pool_action(pool, index)))
+    _cross_check(Analysis(pool_action(pool, index)))
 
 
 @st.composite
@@ -145,7 +135,7 @@ def test_no_fiber_query_repeats_within_an_analysis(pool, index):
     if pool == "fixture":
         an = _fixture_analysis(index)
     else:
-        an = Analysis(_pool_action(pool, index))
+        an = Analysis(pool_action(pool, index))
     with fiber_queries() as calls:
         analyze_report(an)
     assert repeated_queries(calls) == []
@@ -186,6 +176,6 @@ def test_the_violator_searches_only_below_the_point_it_is_handed(monkeypatch):
         return out
 
     monkeypatch.setattr(DivisorContext, "not_free_violator", spy)
-    assert Analysis(_pool_action("corpus", 166)).verdict.cofree == "no"
+    assert Analysis(pool_action("corpus", 166)).verdict.cofree == "no"
     assert len(queries) == 1 and queries[0]
     assert [key for key, _ in queries[0] if not key[3]] == []
