@@ -297,13 +297,25 @@ class Sublattice:
             raise InputError("sublattices live in different ambient ranks")
 
     def sum(self, other: "Sublattice") -> "Sublattice":
-        self._check_ambient(other)
+        """L + M.  When one operand contains the other, the sum is that
+        operand, returned as it is: its basis is canonical, so it is the
+        Hermite form that reducing the joint columns would give."""
+        if self.contains_lattice(other):
+            return self
+        if other.contains_lattice(self):
+            return other
         return Sublattice.from_columns(list(self.basis) + list(other.basis), self.ambient)
 
     def intersect(self, other: "Sublattice") -> "Sublattice":
-        self._check_ambient(other)
-        if not self.basis or not other.basis:
-            return Sublattice.zero(self.ambient)
+        """L ∩ M.  When one operand contains the other (a zero operand lies
+        inside every lattice), the intersection is the contained one,
+        returned as it is: its basis is canonical, so it is what the
+        elimination would give.  Otherwise the kernel of (L | -M) gives the
+        common points L x = M y, put in canonical form."""
+        if self.contains_lattice(other):
+            return other
+        if other.contains_lattice(self):
+            return self
         stacked = IntMatrix.from_cols(
             list(self.basis) + [tuple(-x for x in c) for c in other.basis], self.ambient
         )
@@ -433,11 +445,17 @@ def quotient_structure(generators: list[Vec], denominator: Sublattice) -> tuple[
     The subgroup generated by the given classes; factors as in
     QuotientGroup.invariant_factors but with free factors only when the
     subgroup is infinite.
+
+    When every generator lies in D the subgroup is trivial, and the answer
+    is () before any elimination.  The general route gives () there too:
+    the numerator is D itself, D in its own basis is the identity, and the
+    identity's Smith form has every factor 1.  A zero numerator is a case
+    of this.
     """
+    if all(map(denominator.contains, generators)):
+        return ()
     n = denominator.ambient
     num = Sublattice.from_columns(list(generators) + list(denominator.basis), n)
-    if num.rank == 0:
-        return ()
     # express the denominator in the numerator basis: D = N * X
     xcols = [num.coordinates(c) for c in denominator.basis]
     if None in xcols:

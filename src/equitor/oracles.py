@@ -57,13 +57,14 @@ INCONCLUSIVE = "inconclusive"
 MAX_FACES = 4096
 
 
-def face_lattice(S: AffineSemigroup) -> tuple[tuple[frozenset[int], int, frozenset[int]], ...]:
+def face_lattice(S: AffineSemigroup) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
     """All faces of cone(S), as intersections of facets: for each distinct
-    face its Hilbert-basis index set, its rank, and the coordinates forced to
-    zero by a defining facet subset, by rank."""
-    hb = S.hilbert_basis
-    all_idx = frozenset(range(len(hb)))
-    seen: dict[frozenset[int], tuple[int, frozenset[int]]] = {}
+    face its Hilbert-basis index set and the coordinates forced to zero by
+    the first facet subset that defines it, in the order the subsets are
+    enumerated (by size, then lexicographically).  No face is ranked here:
+    the null-fiber oracle ranks only the faces it compares."""
+    all_idx = frozenset(range(len(S.hilbert_basis)))
+    seen: dict[frozenset[int], frozenset[int]] = {}
     n_facets = S.facet_count
     for r in range(n_facets + 1):
         for subset in combinations(range(n_facets), r):
@@ -73,11 +74,8 @@ def face_lattice(S: AffineSemigroup) -> tuple[tuple[frozenset[int], int, frozens
             if idx not in seen:
                 if len(seen) >= MAX_FACES:
                     raise CappedComputationError("face enumeration", MAX_FACES)
-                coords = frozenset(S.facets[fi].coord for fi in subset)
-                seen[idx] = (matrix_rank([hb[i] for i in idx]), coords)
-    return tuple(
-        sorted(((k, v[0], v[1]) for k, v in seen.items()), key=lambda t: (t[1], sorted(t[0])))
-    )
+                seen[idx] = frozenset(S.facets[fi].coord for fi in subset)
+    return tuple(seen.items())
 
 
 def null_fiber_dimension(
@@ -88,14 +86,19 @@ def null_fiber_dimension(
 
     A face carries no invariants iff no nonzero invariant generator vanishes
     on all its defining coordinates; the null fiber is the union of such
-    faces, so its dimension is their maximal rank.
+    faces, so its dimension is their maximal rank.  Only those faces are
+    ranked: the maximum over them is the one a scan of every ranked face
+    finds, since the faces with invariants never enter it.
     """
-    best = 0
-    for _idx, rank, coords in face_lattice(S_X):
-        if rank <= best:
-            continue
-        if not _face_has_invariants(coords, S_G):
-            best = rank
+    hb = S_X.hilbert_basis
+    best = max(
+        (
+            matrix_rank([hb[i] for i in idx])
+            for idx, coords in face_lattice(S_X)
+            if not _face_has_invariants(coords, S_G)
+        ),
+        default=0,
+    )
     expected = S_X.rank - S_G.rank
     return best, best == expected
 
@@ -118,7 +121,10 @@ def bounded_freeness_oracle(
 
     Takes the minimal-degree fiber monomial and compares the listed fiber
     with its translate of the invariant semigroup; a violation inside the
-    cap is conclusive, agreement is a verdict only at this cap.
+    cap is conclusive, agreement is a verdict only at this cap.  Inside
+    one fiber b - a in S_G means b >= a, but the test stays membership in
+    the lattice that HB(S_G) spans: that is what sets the invariant Hilbert
+    basis against the fiber walk.
     """
     fiber = enumerate_fiber(action, chi, degree_cap)
     if not fiber:

@@ -10,7 +10,7 @@ non-stable input is quotiented by the kernel of its unit weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from operator import add
@@ -70,6 +70,10 @@ class ObstructionData:
     reflection_part: int
     obstruction: SubgroupOfG
     restriction: FiniteAbelianData
+    # the divisor context of X//Obs when Obs equals the subgroup H whose
+    # quotient's obstructing facets define it: `obstruction` has built it
+    # for X//H already.  None when Obs differs from H.
+    context: DivisorContext | None = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -274,6 +278,7 @@ class Analysis:
             reflection_part=refl_part,
             obstruction=obs,
             restriction=restr,
+            context=ctx_h if obs == H else None,
         )
 
     # -- cofreeness ----------------------------------------------------------
@@ -316,7 +321,7 @@ class Analysis:
         obs = self.obstruction
         if obs is None:
             return None
-        ctx = self.context_for(obs.obstruction)
+        ctx = self.context_for(obs.obstruction) if obs.context is None else obs.context
         return self.cofree_decision if ctx is self.ctx else self.decide_cofree(ctx)
 
     # -- verdicts --------------------------------------------------------------

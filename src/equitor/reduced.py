@@ -85,13 +85,20 @@ def qualified_lattice(
 
 def sweep_combinations(action, basis: list[Vec], bound: int) -> dict[Vec, tuple[int, ...]]:
     """Each reduced character sum(n_i * b_i) with |n_i| <= bound, mapped to
-    the first combination (n_i) in product order that reaches it."""
+    the first combination (n_i) in product order that reaches it.
+
+    The multiples n * b_i are formed once, and each combination sums its
+    terms and reduces once: reduction modulo the torsion commutes with
+    addition and scaling, so the character is the one that reducing after
+    every step gives."""
+    coeffs = range(-bound, bound + 1)
+    multiples = [[tuple(n * x for x in b) for n in coeffs] for b in basis]
+    zero = action.zero_char
     out: dict[Vec, tuple[int, ...]] = {}
-    for combo in itertools.product(range(-bound, bound + 1), repeat=len(basis)):
-        chi = action.zero_char
-        for n, b in zip(combo, basis):
-            chi = action.char_add(chi, action.char_scale(n, b))
-        out.setdefault(chi, combo)
+    for combo, terms in zip(
+        itertools.product(coeffs, repeat=len(basis)), itertools.product(*multiples)
+    ):
+        out.setdefault(action.reduce_char(tuple(map(sum, zip(zero, *terms)))), combo)
     return out
 
 

@@ -59,6 +59,10 @@ class SubgroupOfA:
         return SubgroupOfA(self.action, self.lattice.intersect(other.lattice))
 
     def scale(self, m: int) -> "SubgroupOfA":
+        """m * B + relations; for m = 1 that is B itself, which holds the
+        relation lattice, so it is returned as it is."""
+        if m == 1:
+            return self
         rel = self.action.relation_lattice()
         return SubgroupOfA(self.action, self.lattice.scale(m).sum(rel))
 

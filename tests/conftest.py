@@ -1,12 +1,16 @@
 """Shared fixture actions used across the suite."""
 
+import hashlib
+import json
 import random
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import equitor.divisors
+from equitor.cli import analyze_report
 from equitor.lattice import IntMatrix, Sublattice
 from equitor.semigroup import WeightedAction
 from equitor.subgroups import SubgroupOfA, SubgroupOfG
@@ -139,13 +143,45 @@ def quotient_builds():
         WeightedAction.quotient_by = real
 
 
-def pool_action(pool: str, index: int) -> WeightedAction:
-    """Action #index of the acceptance-corpus generator (seed 20260810);
-    the `orthant` pool drops its quotient congruences."""
+def pool_actions(pool: str) -> list[WeightedAction]:
+    """The 400 `orthant` or 215 `corpus` actions of the acceptance-corpus
+    generator (seed 20260810) in generation order; the `orthant` pool
+    drops their quotient congruences."""
     rng = random.Random(20260810)
-    for _ in range(index):
-        act = random_action(rng)
-    return replace(act, congruences=()) if pool == "orthant" else act
+    acts = [random_action(rng) for _ in range({"orthant": 400, "corpus": 215}[pool])]
+    return [replace(a, congruences=()) for a in acts] if pool == "orthant" else acts
+
+
+def pool_action(pool: str, index: int) -> WeightedAction:
+    """Action #index (1-based) of the pool."""
+    return pool_actions(pool)[index - 1]
+
+
+DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
+
+
+def report_digest(an) -> str:
+    """sha256 of one analysis: its `analyze` report with the solver's
+    `nodes` and `norm_reached`.  Raises the analysis's cap, if any."""
+    report = analyze_report(an)
+    return _digest([report, an.budget.nodes, an.budget.norm_reached])
+
+
+def cap_digest(err) -> str:
+    """sha256 of a capped analysis: the cap's `what` and message."""
+    return _digest(["capped", err.what, str(err)])
+
+
+def first_difference(pool: str, got: list[str]) -> str | None:
+    """The first attempt, as "<pool> #<index>", whose digest is not pinned."""
+    want = json.loads(DIGESTS.read_text())[pool]
+    assert len(got) == len(want)
+    return next((f"{pool} #{i}" for i, (g, w) in enumerate(zip(got, want), 1) if g != w), None)
+
+
+def _digest(record) -> str:
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def repeated_queries(calls) -> list:

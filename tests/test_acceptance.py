@@ -27,7 +27,14 @@ from equitor.pipeline import Analysis
 from equitor.reduced import sweep_chars
 from equitor.semigroup import Budget, build_semigroup, enumerate_fiber
 from equitor.subgroups import quotient_action
-from conftest import action_5_7, action_5_8, ramification_lattice
+from conftest import (
+    action_5_7,
+    action_5_8,
+    cap_digest,
+    first_difference,
+    ramification_lattice,
+    report_digest,
+)
 from corpus import random_action
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,12 +58,14 @@ def corpus_results():
     and whether the cofree decision on an explicitly built X//kernel equals
     the engine's, which reuses X's own.  Sums the completion solver's
     `nodes` and takes the largest `norm_reached` over every attempt's
-    budget, capped ones included.  Keeping the analyses would hold every
-    budget's memo tables for the whole module."""
+    budget, capped ones included.  Keeps each attempt's report digest
+    (`report_digest`, or `cap_digest` when it caps).  Keeping the analyses
+    would hold every budget's memo tables for the whole module."""
     rng = random.Random(20260810)
     results = []
     pinned = []
     kernel_quotients = []
+    digests = []
     nodes = norm_reached = 0
     started = time.monotonic()
     attempts = 215
@@ -75,8 +84,10 @@ def corpus_results():
                 "cltilde": list(an.reduced.module_side_factors),
                 "obs_restriction": list(obs.restriction.invariant_factors) if obs else None,
             }
+            digests.append(report_digest(an))
         except CappedComputationError as e:
             pinned.append({"index": index, "status": "capped", "cap": e.what})
+            digests.append(cap_digest(e))
             continue
         finally:
             nodes += an.budget.nodes
@@ -88,7 +99,7 @@ def corpus_results():
             rebuilt = DivisorContext(quotient_action(an.action, an.kernel), an.budget)
             kernel_quotients.append((act, an.decide_cofree(rebuilt) == an.cofree_decision))
     elapsed = time.monotonic() - started
-    return results, elapsed, attempts, pinned, kernel_quotients, (nodes, norm_reached)
+    return results, elapsed, attempts, pinned, kernel_quotients, (nodes, norm_reached), digests
 
 
 def test_acceptance_1_example_5_7():
@@ -202,7 +213,7 @@ def test_acceptance_4_divisor_identities():
 
 
 def test_acceptance_5_corpus_oracle_equivalence(corpus_results):
-    results, gen_elapsed, attempts, _pinned, _kq, _work = corpus_results
+    results, gen_elapsed, attempts, _pinned, _kq, _work, _digests = corpus_results
     t0 = time.monotonic()
     decided = 0
     for act, v, _cor, _obs in results:
@@ -221,7 +232,7 @@ def test_acceptance_5_corpus_oracle_equivalence(corpus_results):
 def test_corpus_matches_the_golden_file(corpus_results):
     """Every attempt of the sweep decides with the pinned fields, or caps on
     the pinned cap, exactly as the benchmark's golden file records it."""
-    _results, _elapsed, attempts, pinned, _kq, _work = corpus_results
+    _results, _elapsed, attempts, pinned, _kq, _work, _digests = corpus_results
     golden = json.loads((ROOT / "perfbench" / "golden" / "corpus.json").read_text())
     assert golden["pool_seed"] == 20260810
     assert attempts == golden["attempts"] == len(golden["instances"]) == 215
@@ -232,15 +243,22 @@ def test_corpus_solver_work_is_pinned(corpus_results):
     """The completion solver's total candidates and deepest level over all
     215 attempts, capped ones included: a change to its representation or
     its bookkeeping must walk exactly the same nodes on every input."""
-    *_, work = corpus_results
+    *_, work, _digests = corpus_results
     assert work == (2_219_234, 64)
+
+
+def test_corpus_reports_match_the_digests(corpus_results):
+    """Every attempt's `analyze` report with its solver work, or its cap,
+    is the one `report_digests.json` pins (see `test_report_digests.py`)."""
+    *_, digests = corpus_results
+    assert first_difference("corpus", digests) is None
 
 
 def test_kernel_quotient_cofree_matches_the_engine(corpus_results):
     """Where Obs|_X is trivial the obstruction quotient is X//kernel, which
     the engine answers with X's own cofree decision; the decision on the
     explicitly rebuilt quotient must agree."""
-    _results, _elapsed, _attempts, _pinned, kernel_quotients, _work = corpus_results
+    _results, _elapsed, _attempts, _pinned, kernel_quotients, _work, _digests = corpus_results
     assert [act for act, agrees in kernel_quotients if not agrees] == []
     assert len(kernel_quotients) >= 100
 
@@ -254,7 +272,7 @@ def test_acceptance_6_obstruction_consistency(corpus_results):
     where the minimal cover has order 6 while t = 3), so a failure
     here reports those instances rather than silently weakening the bound.
     """
-    results, gen_elapsed, _, _pinned, _kq, _work = corpus_results
+    results, gen_elapsed, _, _pinned, _kq, _work, _digests = corpus_results
     t0 = time.monotonic()
     checked_cor = checked_div = 0
     cor_failures = []

@@ -3,6 +3,8 @@ import random
 from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equitor import lattice
 from equitor.errors import CappedComputationError, InputError
@@ -298,6 +300,74 @@ def test_intersect_against_membership():
             for gens in (a.basis, b.basis, shared):
                 v = _combination(rng, gens, 5)
                 assert both.contains(v) == (a.contains(v) and b.contains(v))
+
+
+def _eliminated_intersection(a, b):
+    """L ∩ M by elimination alone: the kernel of (L | -M) mapped through L."""
+    if not a.basis or not b.basis:
+        return Sublattice.zero(a.ambient)
+    stacked = IntMatrix.from_cols(list(a.basis) + [tuple(-x for x in c) for c in b.basis], a.ambient)
+    bmat = a.basis_matrix()
+    return Sublattice.from_columns([bmat.mul_vec(k[: a.rank]) for k in kernel_basis(stacked)], a.ambient)
+
+
+def _eliminated_quotient(generators, denominator):
+    """The invariant factors of (span + D) / D by the Hermite and Smith forms
+    alone: D in the numerator's basis, then its quotient's factors."""
+    num = Sublattice.from_columns(list(generators) + list(denominator.basis), denominator.ambient)
+    if num.rank == 0:
+        return ()
+    xcols = [num.coordinates(c) for c in denominator.basis]
+    return QuotientGroup.of(Sublattice.from_columns(xcols, num.rank)).invariant_factors
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Two sublattices of Z^1..Z^5 that are nested (either way round), equal,
+    zero on one side, or drawn apart; with a torsion relation lattice
+    (m e_i) inside both when one is drawn, as in a character group."""
+    n = draw(st.integers(1, 5))
+    vecs = st.lists(st.tuples(*[st.integers(-4, 4)] * n), max_size=4)
+    moduli = draw(st.lists(st.integers(2, 6), max_size=n))
+    rel = [tuple(m * (j == n - 1 - i) for j in range(n)) for i, m in enumerate(moduli)]
+    a_cols = draw(vecs) + rel
+    kind = draw(st.sampled_from(["nested", "equal", "zero", "apart"]))
+    if kind == "nested":
+        coeffs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(a_cols), max_size=len(a_cols)), max_size=4))
+        b_cols = [tuple(sum(k * c[i] for k, c in zip(ks, a_cols)) for i in range(n)) for ks in coeffs]
+        b_cols += [tuple(draw(st.integers(1, 3)) * x for x in c) for c in rel]
+    elif kind == "equal":
+        b_cols = list(reversed(a_cols)) + [tuple(x + y for x, y in zip(c, a_cols[0])) for c in a_cols[1:]]
+    elif kind == "zero":
+        b_cols = []
+    else:
+        b_cols = draw(vecs) + rel
+    a, b = Sublattice.from_columns(a_cols, n), Sublattice.from_columns(b_cols, n)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_pairs())
+def test_intersect_and_sum_match_the_elimination_route(pair):
+    # a containment short-circuit returns the operand as it is, which must
+    # be the canonical form that the kernel and the Hermite form give
+    a, b = pair
+    assert a.intersect(b) == _eliminated_intersection(a, b)
+    assert a.sum(b) == Sublattice.from_columns(list(a.basis) + list(b.basis), a.ambient)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_pairs(), st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), max_size=3), st.integers(0, 3))
+def test_quotient_structure_matches_the_elimination_route(pair, coeffs, outside):
+    # generators inside the denominator (combinations of its basis), then
+    # up to `outside` more from the other lattice, which may leave it
+    denominator, other = pair
+    n = denominator.ambient
+    inside = [
+        tuple(sum(k * c[i] for k, c in zip(ks, denominator.basis)) for i in range(n)) for ks in coeffs
+    ]
+    gens = inside + list(other.basis[:outside])
+    assert quotient_structure(gens, denominator) == _eliminated_quotient(gens, denominator)
 
 
 def test_kernel_basis_shapes():

@@ -1,7 +1,12 @@
 import random
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from equitor.divisors import DivisorContext
-from equitor.lattice import QuotientGroup
+from equitor.errors import CappedComputationError
+from equitor.lattice import QuotientGroup, matrix_rank
 from equitor.oracles import (
     INCONCLUSIVE,
     NO,
@@ -20,6 +25,7 @@ from conftest import (
     ambient_torus_action,
     fiber_queries,
     polynomial_action,
+    pool_actions,
 )
 
 
@@ -67,6 +73,56 @@ def test_null_fiber_monotone_under_more_invariants(fx57):
     d_small, _ = null_fiber_dimension(S, SG_small)
     d_big, _ = null_fiber_dimension(S, SG_big)
     assert d_big <= d_small
+
+
+def _all_faces_ranked(S, S_G):
+    """The null-fiber dimension by ranking every face, then scanning them by
+    rank for the largest that carries no invariants."""
+    hb = S.hilbert_basis
+    ranked = sorted(
+        (matrix_rank([hb[i] for i in idx]), sorted(idx), coords) for idx, coords in face_lattice(S)
+    )
+    best = 0
+    for rank, _idx, coords in ranked:
+        if rank > best and not any(
+            any(h) and all(h[c] == 0 for c in coords) for h in S_G.hilbert_basis
+        ):
+            best = rank
+    return best, best == S.rank - S_G.rank
+
+
+@st.composite
+def small_actions(draw):
+    n = draw(st.integers(1, 4))
+    free = draw(st.integers(0, 2))
+    moduli = tuple(draw(st.lists(st.integers(2, 3), max_size=1)))
+    k = free + len(moduli)
+    weights = tuple(draw(st.tuples(*[st.integers(-2, 2)] * k)) for _ in range(n))
+    return WeightedAction(n, free, moduli, weights, ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_actions())
+def test_null_fiber_dimension_matches_the_all_faces_scan(act):
+    try:
+        S, S_G = semigroup_pair(act)
+    except CappedComputationError:
+        assume(False)
+    assert null_fiber_dimension(S, S_G) == _all_faces_ranked(S, S_G)
+
+
+@pytest.mark.parametrize("pool", ["orthant", "corpus"])
+def test_null_fiber_dimension_matches_the_all_faces_scan_on_a_pool_sample(pool):
+    # every 5th action of the pool, the ones whose semigroups build
+    checked = 0
+    for act in pool_actions(pool)[::5]:
+        try:
+            S, S_G = semigroup_pair(act)
+        except CappedComputationError:
+            continue
+        assert null_fiber_dimension(S, S_G) == _all_faces_ranked(S, S_G)
+        checked += 1
+    assert checked >= 40
 
 
 def test_bounded_freeness_oracle_basics(fx58):

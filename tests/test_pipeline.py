@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import equitor.oracles
-from equitor.cli import parse_input
+import equitor.pipeline
+from equitor.cli import analyze_report, parse_input
 from equitor.errors import CappedComputationError, InputError
 from equitor.oracles import (
     INCONCLUSIVE,
@@ -33,6 +34,7 @@ from conftest import (
     action_5_7,
     action_5_8,
     polynomial_action,
+    pool_action,
     scaling_action,
 )
 
@@ -297,6 +299,38 @@ def test_kernel_quotient_reuses_the_context(fixture):
     obs = an.obstruction
     trivial = obs is not None and obs.restriction.order == 1
     assert (an.obstruction_quotient_cofree is an.cofree_decision) == trivial
+
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "source",
+    # Obs equals the subgroup H that the obstruction is built on in each of
+    # these; X//H is X itself only in `polynomial_ring` and `scaling_torus`
+    [p.stem for p in sorted(FIXTURE_DIR.glob("*.json"))]
+    + [("orthant", 116), ("orthant", 182), ("corpus", 116)],
+    ids=str,
+)
+def test_one_obstruction_quotient_context_per_analysis(monkeypatch, source):
+    # X//Obs gets one divisor context per analysis: when Obs = H the
+    # obstruction hands on the context of X//H it has already built
+    if isinstance(source, str):
+        an = Analysis(parse_input(json.loads((FIXTURE_DIR / f"{source}.json").read_text()))[0])
+    else:
+        an = Analysis(pool_action(*source))
+    built = []
+    real = equitor.pipeline.DivisorContext
+
+    def spy(action, budget):
+        built.append(action)
+        return real(action, budget)
+
+    monkeypatch.setattr(equitor.pipeline, "DivisorContext", spy)
+    analyze_report(an)
+    obs = an.obstruction.obstruction
+    quotient = an.action if obs == an.kernel else quotient_action(an.action, obs)
+    assert built.count(quotient) == 1
 
 
 def test_reflection_quotient_action_is_cofree():

@@ -3,7 +3,11 @@ import random
 from dataclasses import replace
 from pathlib import Path
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equitor.cli import parse_input
 from equitor.divisors import DivisorContext
@@ -13,6 +17,7 @@ from equitor.reduced import (
     qualified_lattice,
     reduced_class_groups,
     sweep_chars,
+    sweep_combinations,
 )
 from equitor.semigroup import WeightedAction, fiber_sample
 from equitor.subgroups import SubgroupOfA, unit_weights
@@ -265,3 +270,37 @@ def test_sweep_chars_dedupes():
     got = sweep_chars(act, [(1, 0), (2, 0)], 1)
     assert len(got) == len(set(got))
     assert (3, 0) in got and (-3, 0) in got and (0, 0) in got
+
+
+def _stepwise_combinations(action, basis, bound):
+    """The sweep reduced after every step: char_scale each term, char_add it
+    on, first combination in product order per character."""
+    out = {}
+    for combo in itertools.product(range(-bound, bound + 1), repeat=len(basis)):
+        chi = action.zero_char
+        for n, b in zip(combo, basis):
+            chi = action.char_add(chi, action.char_scale(n, b))
+        out.setdefault(chi, combo)
+    return out
+
+
+@st.composite
+def sweep_inputs(draw):
+    """An action with 0 to 2 free and 0 to 2 torsion coordinates, and a
+    basis of 0 to 3 characters, reduced or not."""
+    free = draw(st.integers(0, 2))
+    moduli = tuple(draw(st.lists(st.integers(2, 6), max_size=2)))
+    k = free + len(moduli)
+    act = WeightedAction(1, free, moduli, ((0,) * k,), ())
+    basis = draw(st.lists(st.tuples(*[st.integers(-7, 7)] * k), max_size=3))
+    return act, basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_inputs(), st.integers(0, 3))
+def test_sweep_combinations_match_the_stepwise_sweep(inputs, bound):
+    # one reduction per combination reaches the same characters, with the
+    # same first combinations, in the same order
+    act, basis = inputs
+    got = sweep_combinations(act, basis, bound)
+    assert list(got.items()) == list(_stepwise_combinations(act, basis, bound).items())
