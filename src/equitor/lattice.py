@@ -1,10 +1,10 @@
 """Exact integer linear algebra: normal forms, sublattices, quotient groups.
 
 All arithmetic is over Python ints (arbitrary precision); there is no
-floating point anywhere.  Matrices are immutable tuples of row tuples,
-vectors are tuples of ints.  Sublattices are kept in a canonical column
-Hermite normal form so that equality of lattices is equality of
-representations.
+floating point anywhere.  Matrices are immutable tuples of row tuples
+(`Rows`), and a matrix with no rows has no columns; vectors are tuples of
+ints.  Sublattices are kept in a canonical column Hermite normal form so
+that equality of lattices is equality of representations.
 """
 
 from __future__ import annotations
@@ -24,52 +24,19 @@ Vec = tuple[int, ...]
 Rows = tuple[Vec, ...]
 
 
-def _as_rows(entries) -> Rows:
-    return tuple(tuple(int(x) for x in row) for row in entries)
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, row-major."""
-
-    entries: Rows
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @staticmethod
-    def from_rows(rows) -> "IntMatrix":
-        rows = _as_rows(rows)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise InputError("ragged matrix rows")
-        return IntMatrix(rows)
-
-    @staticmethod
-    def from_cols(cols, ambient: int) -> "IntMatrix":
-        if any(len(c) != ambient for c in cols):
-            raise InputError("column length does not match ambient rank")
-        return IntMatrix(tuple(zip(*cols)) if cols else ((),) * ambient)
-
-    def col(self, j: int) -> Vec:
-        return tuple(row[j] for row in self.entries)
-
-    def mul_vec(self, v: Vec) -> Vec:
-        if self.entries and len(v) != self.cols:
-            raise InputError("vector length does not match matrix width")
-        return tuple([sum(map(mul, row, v)) for row in self.entries])
+def mat_vec(rows: Rows, v: Vec) -> Vec:
+    """The product of a matrix, given by its rows, with a column vector."""
+    if rows and len(v) != len(rows[0]):
+        raise InputError("vector length does not match matrix width")
+    return tuple([sum(map(mul, row, v)) for row in rows])
 
 
 def _identity_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _frozen(rows: list[list[int]]) -> IntMatrix:
-    return IntMatrix(tuple(map(tuple, rows)))
+def _frozen(rows: list[list[int]]) -> Rows:
+    return tuple(map(tuple, rows))
 
 
 def _in_smith_form(entries: Rows) -> bool:
@@ -84,7 +51,7 @@ def _in_smith_form(entries: Rows) -> bool:
     return True
 
 
-def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def smith_normal_form(M: Rows) -> tuple[Rows, Rows, Rows]:
     """Smith normal form: returns (S, U, V) with U*M*V = S.
 
     S is diagonal with a divisibility chain d1 | d2 | ..., U and V are
@@ -101,10 +68,10 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     entry after it, and a zero trailing block ends the loop.  So S, U and V
     are the ones it would give.
     """
-    nr, nc = M.rows, M.cols
-    if _in_smith_form(M.entries):
+    nr, nc = len(M), len(M[0]) if M else 0
+    if _in_smith_form(M):
         return M, _frozen(_identity_rows(nr)), _frozen(_identity_rows(nc))
-    A = [list(r) for r in M.entries]
+    A = [list(r) for r in M]
     U = _identity_rows(nr)
     V = _identity_rows(nc)
 
@@ -175,8 +142,8 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return _frozen(A), _frozen(U), _frozen(V)
 
 
-def diagonal_of(S: IntMatrix) -> list[int]:
-    return [S.entries[i][i] for i in range(min(S.rows, S.cols))]
+def diagonal_of(S: Rows) -> list[int]:
+    return [row[i] for i, row in enumerate(S) if i < len(row)]
 
 
 def column_hnf(cols: list[Vec], ambient: int) -> tuple[Vec, ...]:
@@ -250,10 +217,6 @@ class Sublattice:
             raise InputError("column length does not match ambient rank")
         return Sublattice(ambient, column_hnf(cols, ambient))
 
-    @staticmethod
-    def zero(ambient: int) -> "Sublattice":
-        return Sublattice(ambient, ())
-
     @property
     def rank(self) -> int:
         return len(self.basis)
@@ -262,9 +225,6 @@ class Sublattice:
     def pivots(self) -> tuple[int, ...]:
         """The pivot (leading nonzero) row of each basis column."""
         return tuple(next(r for r, x in enumerate(col) if x) for col in self.basis)
-
-    def basis_matrix(self) -> IntMatrix:
-        return IntMatrix.from_cols(self.basis, self.ambient)
 
     def coordinates(self, v: Vec) -> Vec | None:
         """Coefficients of v in the basis, or None when v is not in the lattice.
@@ -316,56 +276,45 @@ class Sublattice:
             return other
         if other.contains_lattice(self):
             return self
-        stacked = IntMatrix.from_cols(
-            list(self.basis) + [tuple(-x for x in c) for c in other.basis], self.ambient
-        )
-        ker = kernel_basis(stacked)
+        stacked = tuple(zip(*self.basis, *[tuple(-x for x in c) for c in other.basis]))
         r = self.rank
-        bmat = self.basis_matrix()
-        cols = [bmat.mul_vec(k[:r]) for k in ker]
+        rows = tuple(zip(*self.basis))
+        cols = [mat_vec(rows, k[:r]) for k in kernel_basis(stacked)]
         return Sublattice.from_columns(cols, self.ambient)
 
     def scale(self, m: int) -> "Sublattice":
         return Sublattice.from_columns([tuple(m * x for x in c) for c in self.basis], self.ambient)
 
 
-def _kernel_columns(S: IntMatrix, V: IntMatrix) -> list[Vec]:
-    """Columns of V at the zero (or missing) diagonal entries of S = U*M*V."""
-    d = diagonal_of(S)
-    return [V.col(j) for j in range(V.cols) if j >= len(d) or d[j] == 0]
-
-
-def kernel_basis(M: IntMatrix) -> list[Vec]:
+def kernel_basis(M: Rows) -> list[Vec]:
     """A basis of {x : M x = 0} over Z, from one column Hermite form.
 
     The columns (M e_j ; e_j) span the lattice {(M x ; x)}.  In its Hermite
-    form a column whose pivot lies below row M.rows is zero on the top
+    form a column whose pivot lies below the rows of M is zero on the top
     rows, so its lower half x has M x = 0.  These span the kernel: in the
     combination of Hermite columns that gives (0 ; x), the column with the
     topmost pivot and a nonzero coefficient is alone in its pivot row, so
     no column with a pivot among the top rows takes part.  The basis is not
     the Smith route's, but its one engine reader, `Sublattice.intersect`,
     puts what it spans in canonical form, so intersections do not change."""
-    nr, nc = M.rows, M.cols
-    stacked = [
-        col + (0,) * j + (1,) + (0,) * (nc - j - 1) for j, col in enumerate(zip(*M.entries))
-    ]
+    nr, nc = len(M), len(M[0]) if M else 0
+    stacked = [col + (0,) * j + (1,) + (0,) * (nc - j - 1) for j, col in enumerate(zip(*M))]
     return [c[nr:] for c in column_hnf(stacked, nr + nc) if not any(c[:nr])]
 
 
-def solve_diophantine(M: IntMatrix, b: Vec) -> tuple[Vec, list[Vec]] | None:
+def solve_diophantine(M: Rows, b: Vec) -> tuple[Vec, list[Vec]] | None:
     """Solve M x = b over Z: (particular solution, kernel columns) or None.
 
     One Smith factorization U*M*V = S gives both: y = U b / diag(S) entrywise
     and x0 = V y, and the kernel is spanned by the columns of V at the zero
     diagonal entries (a basis, not in Hermite form)."""
-    if len(b) != M.rows:
+    if len(b) != len(M):
         raise InputError("right-hand side length does not match matrix")
     S, U, V = smith_normal_form(M)
-    c = U.mul_vec(b)
+    c = mat_vec(U, b)
     d = diagonal_of(S)
-    y = [0] * M.cols
-    for i in range(M.rows):
+    y = [0] * len(V)
+    for i in range(len(M)):
         di = d[i] if i < len(d) else 0
         if di == 0:
             if c[i] != 0:
@@ -374,7 +323,8 @@ def solve_diophantine(M: IntMatrix, b: Vec) -> tuple[Vec, list[Vec]] | None:
             if c[i] % di != 0:
                 return None
             y[i] = c[i] // di
-    return V.mul_vec(tuple(y)), _kernel_columns(S, V)
+    kernel = [col for j, col in enumerate(zip(*V)) if j >= len(d) or d[j] == 0]
+    return mat_vec(V, tuple(y)), kernel
 
 
 def matrix_rank(rows: list[Vec]) -> int:
@@ -393,13 +343,14 @@ class QuotientGroup:
     ambient: int
     lattice: Sublattice
     # unimodular U with y = U v the invariant-factor coordinates
-    transform: IntMatrix = field(repr=False, compare=False)
+    transform: Rows = field(repr=False, compare=False)
     # moduli of the first coordinates; coordinates past these are free
     diag: tuple[int, ...] = field(repr=False, compare=False)
 
     @staticmethod
     def of(lattice: Sublattice) -> "QuotientGroup":
-        S, U, _V = smith_normal_form(lattice.basis_matrix())
+        basis = lattice.basis
+        S, U, _V = smith_normal_form(tuple(zip(*basis)) if basis else ((),) * lattice.ambient)
         d = tuple(abs(x) for x in diagonal_of(S))
         return QuotientGroup(lattice.ambient, lattice, U, d)
 
@@ -412,7 +363,7 @@ class QuotientGroup:
 
     def canonical(self, v: Vec) -> Vec:
         """Canonical coordinates of v + L in the invariant-factor basis."""
-        y = self.transform.mul_vec(v)
+        y = mat_vec(self.transform, v)
         out = []
         for i in range(self.ambient):
             if i < len(self.diag):
@@ -424,7 +375,7 @@ class QuotientGroup:
 
     def order_of(self, v: Vec) -> int | None:
         """Order of v + L; None means infinite."""
-        y = self.transform.mul_vec(v)
+        y = mat_vec(self.transform, v)
         m = 1
         for i in range(self.ambient):
             c = y[i]

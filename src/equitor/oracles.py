@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING
 from .divisors import DivisorContext
 from .errors import CappedComputationError, InputError, InvariantViolationError
 from .lattice import (
-    IntMatrix,
     QuotientGroup,
+    mat_vec,
     matrix_rank,
     rational_shifted_cone_nonempty,
     solve_diophantine,
@@ -44,7 +44,7 @@ from .semigroup import (
     enumerate_fiber,
     hilbert_basis,
 )
-from .subgroups import SubgroupOfA, SubgroupOfG, perp, quotient_action
+from .subgroups import SubgroupOfA, SubgroupOfG, quotient_action
 
 if TYPE_CHECKING:
     from .pipeline import Analysis
@@ -148,7 +148,7 @@ def brute_force_class_order(
     if len(coeffs) != nf:
         raise InputError("one coefficient per facet required")
     val_cols = [S.valuation_vector(col) for col in basis]
-    M = IntMatrix.from_cols(val_cols, nf) if val_cols else IntMatrix.from_rows([() for _ in range(nf)])
+    M = tuple(zip(*val_cols))
     for m in range(1, bound + 1):
         target = tuple(m * c for c in coeffs)
         if val_cols:
@@ -226,7 +226,7 @@ def restrict_action_to_subgroup(action: WeightedAction, H: SubgroupOfG) -> Weigh
     tor_idx = [i for i, m in zip(keep, moduli) if m != 0]
     new_weights = []
     for j in range(action.ambient_dim):
-        y = q.transform.mul_vec(action.weights[j])
+        y = mat_vec(q.transform, action.weights[j])
         new_weights.append(tuple(y[i] for i in free_idx) + tuple(y[i] for i in tor_idx))
     return WeightedAction(
         ambient_dim=action.ambient_dim,
@@ -299,7 +299,7 @@ def main_theorem_conditions(an: Analysis) -> dict:
         "exponent_multiples_free": finite
         and t_consistency_check(an.ctx, an.qualified, v, an.options.wide_bound),
     }
-    delta = perp(an.qualified.group)
+    delta = SubgroupOfG(an.qualified.group)
     S_delta = build_semigroup(quotient_action(an.action, delta), an.budget)
     conds["qualified_quotient_equidimensional"] = null_fiber_dimension(S_delta, an.ctx.S_G)[1]
     if len(set(conds.values())) != 1:

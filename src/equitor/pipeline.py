@@ -43,7 +43,6 @@ from .subgroups import (
     SubgroupOfA,
     SubgroupOfG,
     is_stable,
-    perp,
     pseudo_reflection_group,
     quotient_action,
     restriction_data,
@@ -91,7 +90,7 @@ class Verdict:
     cofree: str
     certificates: dict
     null_fiber: tuple[int, bool]
-    oracle_agrees: bool
+    oracle_agrees: bool  # true on every verdict returned: a refuted one raises
 
 
 def t_factorization(t: int, reflection_order: int) -> tuple[int, int]:
@@ -176,15 +175,16 @@ class Analysis:
     def action(self) -> WeightedAction:
         """The stabilized, effectively connected action all verdicts refer to.
 
-        Quotienting by perp(U), U the input's unit weights, keeps the part
-        S' of S with weights in U.  A unit-weight h in HB(S) and any h' in S
-        of weight -wt(h) lie in S', so U, which such wt(h) generate, is the
-        unit group of S' (`units`) and holds every weight of S': S' is stable.
+        Quotienting by the subgroup that U, the input's unit weights,
+        annihilates keeps the part S' of S with weights in U.  A unit-weight
+        h in HB(S) and any h' in S of weight -wt(h) lie in S', so U, which
+        such wt(h) generate, is the unit group of S' (`units`) and holds
+        every weight of S': S' is stable.
         """
         act = self.connected_action
         if self.input_stable:
             return act
-        reduced = quotient_action(act, perp(self.input_units))
+        reduced = quotient_action(act, SubgroupOfG(self.input_units))
         if not is_stable(*self._semigroups(reduced)):
             raise InvariantViolationError("stability reduction did not stabilize")
         return reduced
@@ -364,6 +364,12 @@ class Analysis:
         if cof.witness is not None:
             certificates["non_free_character"] = cof.witness
         oracle_ok = equi == UNKNOWN or (equi == "yes") == nf[1]
+        if not oracle_ok:
+            # a verdict the brute-force oracle refutes is an error, not an answer
+            raise InvariantViolationError(
+                f"null-fiber oracle refutes equidimensional {equi!r}: null fiber "
+                f"dimension {nf[0]}, expected {certificates['expected_fiber_dimension']}"
+            )
         return Verdict(
             stable=self.input_stable,
             equidimensional=equi,

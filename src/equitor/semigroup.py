@@ -45,13 +45,13 @@ from operator import itemgetter, mul
 
 from .errors import CappedComputationError, InputError, InvariantViolationError
 from .lattice import (
-    IntMatrix,
     QuotientGroup,
     Sublattice,
     CAPPED,
     EMPTY,
     FOUND,
     coset_orthant_search,
+    mat_vec,
     solve_diophantine,
 )
 
@@ -186,11 +186,11 @@ class WeightedAction:
         d_i = 0 with an all-zero row."""
         q = QuotientGroup.of(B)
         rows = []
-        for i, urow in enumerate(q.transform.entries):
+        for i, urow in enumerate(q.transform):
             m = q.diag[i] if i < len(q.diag) else 0
             if m == 1:
                 continue
-            coeffs = tuple([sum(map(mul, urow, w)) for w in self.weights])
+            coeffs = mat_vec(self.weights, urow)
             if m or any(coeffs):
                 rows.append((coeffs, m))
         return replace(self, congruences=self.congruences + tuple(rows))
@@ -399,7 +399,7 @@ def solve_system_nonneg(
     rows, total, rvals = _lift_system(congruences, n, rhs)
     if all(v == 0 for v in rvals):
         return (0,) * n
-    sol = solve_diophantine(IntMatrix.from_rows(rows), tuple(rvals))
+    sol = solve_diophantine(tuple(rows), tuple(rvals))
     if sol is None:
         return None
     x0, ker_cols = sol

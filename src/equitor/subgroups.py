@@ -3,9 +3,10 @@
 A closed subgroup H of G is stored as its character annihilator
 B_H = {chi : chi(H) = 1}, a subgroup of the character group A.  The pairing
 is perfect over an algebraically closed field of characteristic zero, so
-perp is an involution and every group-theoretic construction (joins,
-inertia groups, torsion pullbacks, restrictions) becomes lattice
-arithmetic.  No element-level representation of G exists anywhere.
+H and B_H determine each other (`SubgroupOfG(B)` one way, `H.annihilator`
+the other) and every group-theoretic construction (joins, inertia groups,
+torsion pullbacks, restrictions) becomes lattice arithmetic.  No
+element-level representation of G exists anywhere.
 """
 
 from __future__ import annotations
@@ -92,13 +93,6 @@ class SubgroupOfG:
 
     def join(self, other: "SubgroupOfG") -> "SubgroupOfG":
         return SubgroupOfG(self.annihilator.intersect(other.annihilator))
-
-
-def perp(x: SubgroupOfA | SubgroupOfG):
-    """Orthogonal flip between subgroups of A and closed subgroups of G."""
-    if isinstance(x, SubgroupOfA):
-        return SubgroupOfG(x)
-    return x.annihilator
 
 
 @dataclass(frozen=True)

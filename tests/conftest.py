@@ -11,7 +11,7 @@ import pytest
 
 import equitor.divisors
 from equitor.cli import analyze_report
-from equitor.lattice import IntMatrix, Sublattice
+from equitor.lattice import Sublattice
 from equitor.semigroup import WeightedAction
 from equitor.subgroups import SubgroupOfA, SubgroupOfG
 from corpus import random_action
@@ -81,8 +81,8 @@ def trivial_subgroup(action: WeightedAction) -> SubgroupOfG:
     return SubgroupOfG(SubgroupOfA.generated_by(action, [tuple(int(i == j) for i in range(k)) for j in range(k)]))
 
 
-def identity_matrix(n: int) -> IntMatrix:
-    return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+def identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def whole_group(action: WeightedAction) -> SubgroupOfG:

@@ -275,6 +275,16 @@ def test_main_in_process(tmp_path, capsys):
     assert rep["reductions"]["stability_quotient"] is True
 
 
+def test_a_refuted_verdict_exits_1(tmp_path, capsys):
+    # K^4 under T x Z/2: the null-fiber oracle refutes the engine's "no"
+    doc = tmp_path / "refuted.json"
+    weights = [[-2, 0], [0, 1], [0, 1], [1, 1]]
+    doc.write_text(json.dumps({"ambient_dim": 4, "torus_rank": 1, "torsion_moduli": [2], "weights": weights}))
+    assert main(["analyze", str(doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "null-fiber oracle refutes equidimensional 'no'" in err
+
+
 def test_fourier_motzkin_cap_exits_3(monkeypatch, capsys, tmp_path):
     import equitor.lattice
 

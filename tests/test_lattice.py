@@ -12,12 +12,12 @@ from equitor.lattice import (
     EMPTY,
     FM_MAX_ROWS,
     FOUND,
-    IntMatrix,
     QuotientGroup,
     Sublattice,
     column_hnf,
     coset_orthant_search,
     kernel_basis,
+    mat_vec,
     matrix_rank,
     quotient_structure,
     rational_shifted_cone_nonempty,
@@ -28,22 +28,31 @@ from equitor.semigroup import Budget
 from conftest import identity_matrix
 
 
+def matrix(entries):
+    """A matrix as the engine holds it: a tuple of row tuples."""
+    return tuple(map(tuple, entries))
+
+
+def width(M):
+    return len(M[0]) if M else 0
+
+
 def diag_entries(S):
-    return [S.entries[i][i] for i in range(min(S.rows, S.cols))]
+    return [S[i][i] for i in range(min(len(S), width(S)))]
 
 
 def matmul(A, B):
-    cols = tuple(zip(*B.entries))
-    return IntMatrix(tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in A.entries))
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in A)
 
 
 def is_diagonal(M):
-    return all(x == 0 for i, row in enumerate(M.entries) for j, x in enumerate(row) if i != j)
+    return all(x == 0 for i, row in enumerate(M) for j, x in enumerate(row) if i != j)
 
 
 def check_snf(M):
     S, U, V = smith_normal_form(M)
-    assert matmul(matmul(U, M), V).entries == S.entries
+    assert matmul(matmul(U, M), V) == S
     assert is_diagonal(S)
     d = [abs(x) for x in diag_entries(S)]
     for a, b in zip(d, d[1:]):
@@ -59,28 +68,26 @@ def check_snf(M):
 
 
 def test_snf_diag_2_3():
-    S = check_snf(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    S = check_snf(matrix([[2, 0], [0, 3]]))
     assert [abs(x) for x in diag_entries(S)] == [1, 6]
 
 
 def test_snf_single_row():
-    S = check_snf(IntMatrix.from_rows([[1, 1, 1, -3]]))
-    assert S.entries == ((1, 0, 0, 0),)
+    S = check_snf(matrix([[1, 1, 1, -3]]))
+    assert S == ((1, 0, 0, 0),)
 
 
 def test_snf_random_reconstruction():
     rng = random.Random(7)
     for _ in range(30):
-        M = IntMatrix.from_rows(
-            [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
-        )
+        M = matrix([[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)])
         check_snf(M)
 
 
 def test_snf_empty_and_degenerate():
-    check_snf(IntMatrix.from_rows([]))
-    check_snf(IntMatrix.from_rows([[0, 0], [0, 0]]))
-    check_snf(IntMatrix.from_rows([[5]]))
+    check_snf(matrix([]))
+    check_snf(matrix([[0, 0], [0, 0]]))
+    check_snf(matrix([[5]]))
 
 
 def smith_form(rng, rows, cols):
@@ -91,18 +98,18 @@ def smith_form(rng, rows, cols):
     for _ in range(rng.randint(0, n)):
         d.append(d[-1] * rng.choice([1, 1, 2, 3]))
     d = d[1:] + [0] * (n - len(d) + 1)
-    return IntMatrix.from_rows([[d[i] if i == j else 0 for j in range(cols)] for i in range(rows)])
+    return matrix([[d[i] if i == j else 0 for j in range(cols)] for i in range(rows)])
 
 
 def test_smith_form_inputs_return_at_once():
     rng = random.Random(41)
-    # an IntMatrix without rows has no columns either, so 0 x n is 0 x 0;
-    # from_cols builds n x 0 from no columns
-    mats = [IntMatrix.from_rows([]), IntMatrix.from_cols([], 3), IntMatrix.from_cols([(), (), ()], 0)]
+    # a matrix without rows has no columns either, so 0 x n is 0 x 0; an
+    # n x 0 matrix is n empty rows
+    mats = [(), ((),) * 3]
     mats += [smith_form(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(80)]
-    mats += [IntMatrix.from_rows([[2, 0, 0], [0, 2, 0]]), IntMatrix.from_rows([[1, 0], [0, 0], [0, 0]])]
+    mats += [matrix([[2, 0, 0], [0, 2, 0]]), matrix([[1, 0], [0, 0], [0, 0]])]
     for M in mats:
-        assert smith_normal_form(M) == (M, identity_matrix(M.rows), identity_matrix(M.cols))
+        assert smith_normal_form(M) == (M, identity_matrix(len(M)), identity_matrix(width(M)))
 
 
 @pytest.mark.parametrize(
@@ -118,47 +125,47 @@ def test_smith_form_inputs_return_at_once():
     ],
 )
 def test_near_smith_inputs_take_the_elimination(rows):
-    M = IntMatrix.from_rows(rows)
+    M = matrix(rows)
     S = check_snf(M)
-    assert smith_normal_form(M) != (M, identity_matrix(M.rows), identity_matrix(M.cols))
-    assert smith_normal_form(S) == (S, identity_matrix(S.rows), identity_matrix(S.cols))
+    assert smith_normal_form(M) != (M, identity_matrix(len(M)), identity_matrix(width(M)))
+    assert smith_normal_form(S) == (S, identity_matrix(len(S)), identity_matrix(width(S)))
 
 
 def test_solve_diophantine_basic():
-    sol = solve_diophantine(IntMatrix.from_rows([[2]]), (4,))
+    sol = solve_diophantine(matrix([[2]]), (4,))
     assert sol is not None
     x0, cols = sol
     ker = Sublattice.from_columns(cols, 1)
     assert x0 == (2,)
     assert ker.rank == 0
 
-    assert solve_diophantine(IntMatrix.from_rows([[2]]), (3,)) is None
+    assert solve_diophantine(matrix([[2]]), (3,)) is None
 
 
 def test_solve_diophantine_kernel():
-    M = IntMatrix.from_rows([[1, 1, 1, -3]])
+    M = matrix([[1, 1, 1, -3]])
     sol = solve_diophantine(M, (0,))
     assert sol is not None
     x0, cols = sol
-    ker = Sublattice.from_columns(cols, M.cols)
-    assert M.mul_vec(x0) == (0,)
+    ker = Sublattice.from_columns(cols, width(M))
+    assert mat_vec(M, x0) == (0,)
     assert ker.rank == 3
     for col in ker.basis:
-        assert M.mul_vec(col) == (0,)
+        assert mat_vec(M, col) == (0,)
     assert ker.contains((1, -1, 0, 0))
 
 
 def test_solve_diophantine_random_against_kernel():
     rng = random.Random(11)
     for _ in range(25):
-        M = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(3)] for _ in range(2)])
+        M = matrix([[rng.randint(-4, 4) for _ in range(3)] for _ in range(2)])
         x = tuple(rng.randint(-3, 3) for _ in range(3))
-        b = M.mul_vec(x)
+        b = mat_vec(M, x)
         sol = solve_diophantine(M, b)
         assert sol is not None
         x0, cols = sol
-        ker = Sublattice.from_columns(cols, M.cols)
-        assert M.mul_vec(x0) == b
+        ker = Sublattice.from_columns(cols, width(M))
+        assert mat_vec(M, x0) == b
         diff = tuple(a - c for a, c in zip(x, x0))
         assert ker.contains(diff)
 
@@ -176,20 +183,20 @@ def test_solve_diophantine_factors_once(monkeypatch):
     shapes = [(0, 0), (2, 0), (1, 3), (3, 1)]
     shapes += [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(30)]
     for rows, cols in shapes:
-        M = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
+        M = matrix([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
         x = tuple(rng.randint(-3, 3) for _ in range(cols))
         calls.clear()
-        sol = solve_diophantine(M, M.mul_vec(x))
+        sol = solve_diophantine(M, mat_vec(M, x))
         assert len(calls) == 1
         x0, cols = sol
-        assert M.mul_vec(x0) == M.mul_vec(x)
-        ker = Sublattice.from_columns(cols, M.cols)
-        assert ker == Sublattice.from_columns(kernel_basis(M), M.cols)
+        assert mat_vec(M, x0) == mat_vec(M, x)
+        ker = Sublattice.from_columns(cols, width(M))
+        assert ker == Sublattice.from_columns(kernel_basis(M), width(M))
         b = tuple(rng.randint(-3, 3) for _ in range(rows))
         calls.clear()
         sol = solve_diophantine(M, b)
         assert len(calls) == 1
-        assert sol is None or M.mul_vec(sol[0]) == b
+        assert sol is None or mat_vec(M, sol[0]) == b
 
 
 def test_class_order_example_mod3():
@@ -305,10 +312,10 @@ def test_intersect_against_membership():
 def _eliminated_intersection(a, b):
     """L ∩ M by elimination alone: the kernel of (L | -M) mapped through L."""
     if not a.basis or not b.basis:
-        return Sublattice.zero(a.ambient)
-    stacked = IntMatrix.from_cols(list(a.basis) + [tuple(-x for x in c) for c in b.basis], a.ambient)
-    bmat = a.basis_matrix()
-    return Sublattice.from_columns([bmat.mul_vec(k[: a.rank]) for k in kernel_basis(stacked)], a.ambient)
+        return Sublattice(a.ambient, ())
+    stacked = tuple(zip(*a.basis, *[tuple(-x for x in c) for c in b.basis]))
+    bmat = tuple(zip(*a.basis))
+    return Sublattice.from_columns([mat_vec(bmat, k[: a.rank]) for k in kernel_basis(stacked)], a.ambient)
 
 
 def _eliminated_quotient(generators, denominator):
@@ -371,17 +378,17 @@ def test_quotient_structure_matches_the_elimination_route(pair, coeffs, outside)
 
 
 def test_kernel_basis_shapes():
-    ker = kernel_basis(IntMatrix.from_rows([[1, 1]]))
+    ker = kernel_basis(matrix([[1, 1]]))
     assert Sublattice.from_columns(ker, 2) == Sublattice.from_columns([(1, -1)], 2)
-    M = IntMatrix.from_rows([[1, 1, 1]])
+    M = matrix([[1, 1, 1]])
     ker = kernel_basis(M)
     assert len(ker) == 2
     for col in ker:
-        assert M.mul_vec(col) == (0,)
+        assert mat_vec(M, col) == (0,)
     # random shapes with zero rows, zero columns and dependent rows: the
     # columns are an independent kernel set spanning what the Smith route spans
     rng = random.Random(19)
-    mats = [IntMatrix.from_rows([]), IntMatrix.from_cols([], 2), IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])]
+    mats = [(), ((),) * 2, matrix([[0, 0, 0], [0, 0, 0]])]
     for _ in range(80):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
         A = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
@@ -393,14 +400,14 @@ def test_kernel_basis_shapes():
                 row[j] = 0
         if rng.random() < 0.3:
             A.append([x + 2 * y for x, y in zip(A[0], A[-1])])
-        mats.append(IntMatrix.from_rows(A))
+        mats.append(matrix(A))
     for M in mats:
         ker = kernel_basis(M)
         for col in ker:
-            assert len(col) == M.cols and M.mul_vec(col) == (0,) * M.rows
+            assert len(col) == width(M) and mat_vec(M, col) == (0,) * len(M)
         assert matrix_rank(ker) == len(ker)
-        spanned = Sublattice.from_columns(solve_diophantine(M, (0,) * M.rows)[1], M.cols)
-        assert Sublattice.from_columns(ker, M.cols) == spanned
+        spanned = Sublattice.from_columns(solve_diophantine(M, (0,) * len(M))[1], width(M))
+        assert Sublattice.from_columns(ker, width(M)) == spanned
 
 
 def test_matrix_rank():

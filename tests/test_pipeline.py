@@ -8,7 +8,7 @@ import pytest
 import equitor.oracles
 import equitor.pipeline
 from equitor.cli import analyze_report, parse_input
-from equitor.errors import CappedComputationError, InputError
+from equitor.errors import CappedComputationError, InputError, InvariantViolationError
 from equitor.oracles import (
     INCONCLUSIVE,
     YES,
@@ -409,3 +409,22 @@ def test_orthant_378_decides():
     assert an.reduced.divisor_side_factors == an.reduced.module_side_factors == ()
     assert v.oracle_agrees
 
+
+# The small actions on which the engine's equidimensional "no" is wrong:
+# each has t = 1, reflection restriction Z/2 and trivial Obs, while its
+# null fiber has the expected dimension.  The first is K^4 under T x Z/2
+# (in `tests/test_census.py`); the others are K^4 under T x Z/4.
+REFUTED_ACTIONS = [WeightedAction(4, 1, (2,), ((-2, 0), (0, 1), (0, 1), (1, 1)), ())] + [
+    WeightedAction(4, 1, (4,), ((-2, 0), (0, a), (0, b), (1, 2)), ())
+    for a, b in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+]
+
+
+@pytest.mark.parametrize("act", REFUTED_ACTIONS, ids=lambda a: str(a.weights))
+def test_a_verdict_the_null_fiber_oracle_refutes_raises(act):
+    an = Analysis(act)
+    with pytest.raises(InvariantViolationError, match="null-fiber oracle refutes equidimensional 'no'"):
+        an.verdict
+    assert an.exponent_with_provenance[0] == 1
+    assert (an.reflection_restriction.order, an.obstruction.restriction.order) == (2, 1)
+    assert an.obstruction_quotient_cofree.verdict is False

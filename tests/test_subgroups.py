@@ -12,7 +12,6 @@ from equitor.subgroups import (
     ineffective_kernel,
     inertia_subgroup,
     is_stable,
-    perp,
     pseudo_reflection_group,
     quotient_action,
     restriction_data,
@@ -43,28 +42,22 @@ def random_subgroup(action, rng):
     return SubgroupOfA.generated_by(action, gens)
 
 
-def test_perp_involution_and_order_reversal():
+def test_annihilators_reverse_order():
     act = rank2_plus_torsion_action()
     rng = random.Random(19)
     for _ in range(25):
         B1 = random_subgroup(act, rng)
         B2 = random_subgroup(act, rng)
-        H1, H2 = perp(B1), perp(B2)
-        assert perp(H1) == B1
+        H1, H2 = SubgroupOfG(B1), SubgroupOfG(B2)
         assert B1.contains_subgroup(B2) == H2.contains(H1)
 
 
-def test_perp_extremes():
+def test_annihilator_extremes():
     act = rank2_plus_torsion_action()
     k = act.char_length
     full = SubgroupOfA.generated_by(act, [tuple(int(i == j) for i in range(k)) for j in range(k)])
-    assert perp(full) == trivial_subgroup(act)
-    assert perp(SubgroupOfA.generated_by(act, [])) == whole_group(act)
-    two = SubgroupOfA.generated_by(
-        WeightedAction(ambient_dim=1, free_rank=1, torsion_moduli=(), weights=((1,),)),
-        [(2,)],
-    )
-    assert perp(perp(two)) == two
+    assert SubgroupOfG(full) == trivial_subgroup(act)
+    assert SubgroupOfG(SubgroupOfA.generated_by(act, [])) == whole_group(act)
 
 
 def test_ineffective_kernel_faithful():
@@ -132,7 +125,7 @@ def test_reflection_group_scaling_torus_after_reduction():
     S = build_semigroup(act, Budget())
     units = weight_unit_lattice(S.hilbert_basis, act)
     assert not is_stable(S, build_semigroup(act.invariant_action, Budget()))
-    reduced = quotient_action(act, perp(units))
+    reduced = quotient_action(act, SubgroupOfG(units))
     S2 = build_semigroup(reduced, Budget())
     ctx = DivisorContext(reduced, Budget())
     L = ineffective_kernel(S2, reduced)
@@ -142,7 +135,7 @@ def test_reflection_group_scaling_torus_after_reduction():
 
 def test_tor_subgroup_examples():
     act = WeightedAction(ambient_dim=1, free_rank=1, torsion_moduli=(), weights=((1,),))
-    mu2 = perp(SubgroupOfA.generated_by(act, [(2,)]))
+    mu2 = SubgroupOfG(SubgroupOfA.generated_by(act, [(2,)]))
     mu4 = tor_subgroup(2, mu2)
     assert mu4.annihilator.lattice == Sublattice.from_columns([(4,)], 1)
     assert tor_subgroup(1, mu2) == mu2
@@ -171,7 +164,7 @@ def test_tor_brute_force_on_finite_groups():
             gens = [tuple(rng.randint(0, 5) for _ in range(k)) for _ in range(2)]
             BH = SubgroupOfA.generated_by(act, gens)
             m = rng.randint(1, 6)
-            tor_ann = tor_subgroup(m, perp(BH)).annihilator
+            tor_ann = tor_subgroup(m, SubgroupOfG(BH)).annihilator
             # elements of G are tuples (s_i mod m_i); chi(sigma) trivial iff
             # sum chi_i s_i = 0 mod lcm scaling per coordinate
             elements = list(itertools.product(*[range(mm) for mm in moduli]))
@@ -240,7 +233,7 @@ def test_quotient_action_trivial_and_full(fx57):
 def test_quotient_of_ambient_reproduces_5_7():
     # quotient of K^4 by the order-3 cyclic factor gives the 5.7 semigroup
     amb = action_5_7_ambient()
-    tau = perp(SubgroupOfA.generated_by(amb, [(1, 0, 0), (0, 1, 0)]))
+    tau = SubgroupOfG(SubgroupOfA.generated_by(amb, [(1, 0, 0), (0, 1, 0)]))
     S_quot = build_semigroup(quotient_action(amb, tau), Budget())
     S_57 = build_semigroup(action_5_7(), Budget())
     assert S_quot.hilbert_basis == S_57.hilbert_basis
@@ -261,7 +254,7 @@ def test_pairing_lemma_on_fixtures(fx57, fx58):
         units = weight_unit_lattice(S.hilbert_basis, act)
         for _ in range(6):
             B = random_subgroup(act, rng)
-            sub = quotient_action(act, perp(B))
+            sub = quotient_action(act, SubgroupOfG(B))
             S_sub = build_semigroup(sub, Budget())
             sub_units = weight_unit_lattice(S_sub.hilbert_basis, act)
             assert sub_units == units.intersect(B)
@@ -298,19 +291,19 @@ def test_derived_subgroups():
         assert units.contains_subgroup(qualified)
         L = ineffective_kernel(ctx.S, act)
         # the stability kernel acts trivially (the actions are stable)
-        assert restriction_data(perp(units), L).order == 1
+        assert restriction_data(SubgroupOfG(units), L).order == 1
         # qualified kernel contains the stability kernel dually
-        assert perp(qualified).contains(perp(units))
+        assert SubgroupOfG(qualified).contains(SubgroupOfG(units))
 
     act = polynomial_action(2)
     ctx = DivisorContext(act, Budget())
     units = weight_unit_lattice(ctx.S.hilbert_basis, act)
-    assert perp(units) == whole_group(act)  # the trivial group's only subgroup
+    assert SubgroupOfG(units) == whole_group(act)  # the trivial group's only subgroup
 
 
 def test_restrict_action_to_subgroup():
     act = action_5_7()
-    H = perp(SubgroupOfA.generated_by(act, [(3, 0)]))
+    H = SubgroupOfG(SubgroupOfA.generated_by(act, [(3, 0)]))
     sub = restrict_action_to_subgroup(act, H)
     # H = mu_3 x (one-torus): characters Z/3 + Z (one free, one torsion)
     assert sub.free_rank == 1

@@ -210,26 +210,37 @@ def test_unit_weights_run_no_elimination():
 
 def _uncalled_names():
     """Definitions whose name no Name or attribute in src/equitor mentions
-    outside the definition itself, as "module:line:name".  Matching is by
-    bare name, so a method counts as called when any attribute of that name
-    is read anywhere."""
+    outside the definition itself, as "module:line:name".  A method counts
+    as called only when an attribute read names it: a bare Name of the same
+    spelling, such as a local variable, does not call it."""
     trees = _modules()
-    mentions: dict[str, list[ast.AST]] = {}
+    names: dict[str, list[ast.AST]] = {}
+    reads: dict[str, list[ast.AST]] = {}
     for _name, tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                mentions.setdefault(node.id, []).append(node)
-            elif isinstance(node, ast.Attribute):
-                mentions.setdefault(node.attr, []).append(node)
+                names.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(node)
     found = []
     for name, tree in trees:
+        methods = {
+            id(item)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
+            mentions = reads.get(node.name, [])
+            if id(node) not in methods:
+                mentions = mentions + names.get(node.name, [])
             inside = {id(n) for n in ast.walk(node)}
-            if all(id(m) in inside for m in mentions.get(node.name, [])):
+            if all(id(m) in inside for m in mentions):
                 found.append(f"{name}:{node.lineno}:{node.name}")
     return found
 
